@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! perfbench --workload <fit_census|ingest_csv|serve_small_fits|federated_round|all>
-//!           --seed <n> --seconds <s> --trace <0|1> [--smoke]
+//!           --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
 //! Each workload builds its inputs from `--seed`, sets up several times
@@ -16,8 +16,7 @@
 //! JSON object `{"correct", "attempted", "failed", "metrics"}`.
 //!
 //! `--workload all` runs every workload in a child process of its own and
-//! prints one table; it exits non-zero when any gate fails. `--smoke`
-//! shrinks every input so a whole pass takes seconds.
+//! prints one table; it exits non-zero when any gate fails.
 
 mod pipeline;
 mod stats;
@@ -106,7 +105,6 @@ struct Args {
     seed: u64,
     seconds: f64,
     trace: bool,
-    smoke: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -115,7 +113,6 @@ fn parse_args() -> Result<Args, String> {
         seed: 1,
         seconds: 10.0,
         trace: false,
-        smoke: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -139,7 +136,6 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("--trace takes 0 or 1, not {other}")),
                 };
             }
-            "--smoke" => args.smoke = true,
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -260,8 +256,8 @@ fn run_one(args: &Args) -> ExitCode {
         seed: args.seed,
         seconds: args.seconds,
         trace: args.trace,
-        smoke: args.smoke,
-        host: stats::HostSpeed::new(&work),
+        smoke: false,
+        host: stats::HostSpeed::new(),
         work,
     };
     let outcome = match workloads::run(&args.workload, &ctx) {
@@ -303,9 +299,6 @@ fn run_all(args: &Args) -> ExitCode {
             .args(["--seed", &args.seed.to_string()])
             .args(["--seconds", &args.seconds.to_string()])
             .args(["--trace", if args.trace { "1" } else { "0" }]);
-        if args.smoke {
-            cmd.arg("--smoke");
-        }
         let output = match cmd.stderr(std::process::Stdio::inherit()).output() {
             Ok(output) => output,
             Err(e) => {
@@ -349,7 +342,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
 
     /// The benchmark's own smoke check: a tiny run of every workload, both
     /// untraced and traced, passes its gates and reports every named
@@ -364,7 +356,7 @@ mod tests {
                     trace: traced,
                     smoke: true,
                     work: PathBuf::from(".perfbench_work"),
-                    host: stats::HostSpeed::new(Path::new(".perfbench_work")),
+                    host: stats::HostSpeed::new(),
                 };
                 std::fs::create_dir_all(&ctx.work).expect("work directory");
                 let outcome = workloads::run(workload, &ctx).expect("workload runs");

@@ -1,8 +1,5 @@
 //! Summary statistics and host probes shared by every workload.
 
-use std::fs::OpenOptions;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -117,89 +114,49 @@ pub fn fma_ceiling_gflops_per_core(seconds: f64) -> f64 {
     iters as f64 * 8.0 * 8.0 * 2.0 / elapsed / 1e9
 }
 
-/// Which resource a workload's reference op exercises: the one that
-/// bounds the workload.
-#[derive(Clone, Copy)]
-pub enum Probe {
-    /// A multiply-add pass over 16 MiB and a parse of 60,000 decimal
-    /// floats: cores, caches and memory.
-    Compute,
-    /// 32 appends of 64 bytes to a file, each made durable with
-    /// `sync_data`: the disk's flush latency.
-    Durable,
-}
+/// What the reference op takes at the nominal host speed every reported
+/// timing is converted to.
+const NOMINAL_REFERENCE_S: f64 = 0.006;
 
-impl Probe {
-    /// What the reference op takes at the nominal host speed every
-    /// reported timing is converted to.
-    fn nominal_s(self) -> f64 {
-        match self {
-            Probe::Compute => 0.006,
-            Probe::Durable => 0.004,
-        }
-    }
-}
-
-/// Fixed pieces of work that no change to the library can speed up or
-/// slow down. This host shares its cores, caches and disk with other
-/// tenants, and its speed swings by up to 2× within a minute; a reference
-/// op on the resource that bounds a workload slows down with it, so
-/// dividing by the reference op removes that swing.
+/// A fixed piece of work outside the library: a multiply-add pass over
+/// 16 MiB and a parse of 60,000 decimal floats (cores, caches and
+/// memory). This host shares its cores and caches with other tenants,
+/// and its speed swings by up to 2× within a minute; the reference op
+/// slows down with it, so dividing by the reference op removes that
+/// swing. Workloads time it only while the library is idle (no prefetch
+/// worker, assembly thread or fit in flight), so the library's own work
+/// cannot slow it. It touches no disk: fsyncs leave flush work on the
+/// host after they return, which would slow a disk probe after a
+/// WAL-heavy change and hide that change.
 pub struct HostSpeed {
     buf: Vec<f64>,
     text: String,
-    sync_path: PathBuf,
 }
 
 impl HostSpeed {
-    /// The durable probe appends to a file in `work`.
-    pub fn new(work: &Path) -> Self {
+    pub fn new() -> Self {
         HostSpeed {
             buf: (0..2_000_000).map(|i| f64::from(i % 97) * 0.01).collect(),
             text: (0..60_000)
                 .map(|i| format!("{},", f64::from(i) * 0.123_456_789))
                 .collect(),
-            sync_path: work.join(format!("sync-probe-{}", std::process::id())),
         }
     }
 
     /// Seconds one reference op takes right now.
-    fn reference_s(&self, probe: Probe) -> f64 {
+    fn reference_s(&self) -> f64 {
         let t0 = Instant::now();
-        match probe {
-            Probe::Compute => {
-                let mut acc = 0.0f64;
-                for &v in &self.buf {
-                    acc = v.mul_add(v, acc);
-                }
-                for token in self.text.split(',') {
-                    if let Ok(v) = token.parse::<f64>() {
-                        acc += v;
-                    }
-                }
-                std::hint::black_box(acc);
-            }
-            Probe::Durable => {
-                let file = OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&self.sync_path)
-                    .expect("the work directory is writable");
-                for _ in 0..32 {
-                    (&file)
-                        .write_all(&[b'.'; 64])
-                        .and_then(|()| file.sync_data())
-                        .expect("the work directory is writable");
-                }
+        let mut acc = 0.0f64;
+        for &v in &self.buf {
+            acc = v.mul_add(v, acc);
+        }
+        for token in self.text.split(',') {
+            if let Ok(v) = token.parse::<f64>() {
+                acc += v;
             }
         }
+        std::hint::black_box(acc);
         t0.elapsed().as_secs_f64()
-    }
-}
-
-impl Drop for HostSpeed {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.sync_path);
     }
 }
 
@@ -208,25 +165,23 @@ impl Drop for HostSpeed {
 /// the slice's times are scaled by nominal ÷ their mean.
 pub struct Slicer<'h> {
     host: &'h HostSpeed,
-    probe: Probe,
     before: f64,
 }
 
 impl<'h> Slicer<'h> {
     /// Starts the first slice.
-    pub fn new(host: &'h HostSpeed, probe: Probe) -> Self {
+    pub fn new(host: &'h HostSpeed) -> Self {
         Slicer {
             host,
-            probe,
-            before: host.reference_s(probe),
+            before: host.reference_s(),
         }
     }
 
     /// Ends the current slice (starting the next) and returns the factor
     /// that converts its measured seconds to nominal seconds.
     pub fn scale(&mut self) -> f64 {
-        let after = self.host.reference_s(self.probe);
-        let scale = self.probe.nominal_s() / ((self.before + after) / 2.0);
+        let after = self.host.reference_s();
+        let scale = NOMINAL_REFERENCE_S / ((self.before + after) / 2.0);
         self.before = after;
         scale
     }

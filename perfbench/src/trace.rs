@@ -12,7 +12,7 @@
 //! thread). Spans recorded on another thread — a prefetch worker — are
 //! roots of their own.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -173,6 +173,22 @@ impl Tracer {
             .expect("span store poisoned")
             .iter()
             .filter(|s| s.name == name)
+            .map(|s| (s.end - s.start).as_secs_f64())
+            .sum()
+    }
+
+    /// Total wall time, in seconds, of the direct children of every span
+    /// named `name`.
+    pub fn child_seconds(&self, name: &str) -> f64 {
+        let spans = self.spans.lock().expect("span store poisoned");
+        let parents: BTreeSet<SpanId> = spans
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| s.id)
+            .collect();
+        spans
+            .iter()
+            .filter(|s| s.parent.is_some_and(|p| parents.contains(&p)))
             .map(|s| (s.end - s.start).as_secs_f64())
             .sum()
     }

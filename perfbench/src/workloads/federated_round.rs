@@ -22,7 +22,7 @@ use rand::SeedableRng;
 use super::fit_census::slice;
 use super::{Ctx, Outcome, EPSILON, SEEDS};
 use crate::pipeline::{self, At};
-use crate::stats::{Probe, RssSampler};
+use crate::stats::RssSampler;
 use crate::trace::Tracer;
 
 const CLIENTS: usize = 8;
@@ -148,34 +148,33 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
 
     // Set-up: the pooled rows, the round's plan and each client's shard,
     // the single-machine reference at every seed, and one warm-up round.
-    let (shares, shards, references, session) =
-        ctx.repeat_setup(&mut out, Probe::Compute, || {
-            let mut rng = StdRng::seed_from_u64(ctx.seed.wrapping_mul(104_729));
-            let data = synth::linear_dataset(&mut rng, rows, D, 0.1);
-            let plan = Coordinator::new(&est, NoiseMode::Central)
-                .plan(rows, CLIENTS)
-                .map_err(|e| e.to_string())?;
-            let shards = plan
-                .shares
-                .iter()
-                .map(|s| slice(&data, s.start_row, s.start_row + s.rows))
-                .collect::<Result<Vec<_>, _>>()?;
-            let references = (0..SEEDS)
-                .map(|k| est.fit(&data, &mut StdRng::seed_from_u64(ctx.mech_seed(k))))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| e.to_string())?;
-            let session = SharedPrivacySession::new();
-            round(
-                &est,
-                &plan.shares,
-                &shards,
-                &session,
-                0,
-                ctx.mech_seed(0),
-                None,
-            )?;
-            Ok((plan.shares, shards, references, session))
-        })?;
+    let (shares, shards, references, session) = ctx.repeat_setup(&mut out, || {
+        let mut rng = StdRng::seed_from_u64(ctx.seed.wrapping_mul(104_729));
+        let data = synth::linear_dataset(&mut rng, rows, D, 0.1);
+        let plan = Coordinator::new(&est, NoiseMode::Central)
+            .plan(rows, CLIENTS)
+            .map_err(|e| e.to_string())?;
+        let shards = plan
+            .shares
+            .iter()
+            .map(|s| slice(&data, s.start_row, s.start_row + s.rows))
+            .collect::<Result<Vec<_>, _>>()?;
+        let references = (0..SEEDS)
+            .map(|k| est.fit(&data, &mut StdRng::seed_from_u64(ctx.mech_seed(k))))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| e.to_string())?;
+        let session = SharedPrivacySession::new();
+        round(
+            &est,
+            &plan.shares,
+            &shards,
+            &session,
+            0,
+            ctx.mech_seed(0),
+            None,
+        )?;
+        Ok((plan.shares, shards, references, session))
+    })?;
 
     let clean_round = |r: &Round, k: u64| {
         r.model == references[(k % SEEDS) as usize]

@@ -22,12 +22,15 @@ use rand::SeedableRng;
 
 use super::{Ctx, Outcome, EPSILON, SEEDS};
 use crate::pipeline::{self, At, Role, TimedSource};
-use crate::stats::{self, Probe, RssSampler};
+use crate::stats::{self, RssSampler};
 use crate::trace::Tracer;
 
 const ROWS: usize = 370_000;
 const SMOKE_ROWS: usize = 20_000;
 const SHARDS: usize = 4;
+/// How far the traced fit's layer times may sum from the untraced `fit`'s
+/// time before the decomposition counts as doing other work.
+const FIT_COVERAGE_TOLERANCE: f64 = 0.10;
 
 /// One task's inputs: the dataset, the same rows cut into shards, and
 /// the estimator.
@@ -159,7 +162,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
     // Set-up: generate both census extracts, cut the shards, warm up
     // (two iterations per task: the second materializes the cached
     // columnar transpose every later fit reads).
-    let (lin, log) = ctx.repeat_setup(&mut out, Probe::Compute, || {
+    let (lin, log) = ctx.repeat_setup(&mut out, || {
         let lin = task_data(
             workload::build(Country::Us, Task::Linear, rows, 14, ctx.seed).data,
             LinearObjective,
@@ -249,6 +252,10 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
     if ctx.trace {
         let tracer = Arc::new(Tracer::new());
         let mut traced_ms = Vec::new();
+        // Each traced op is followed by the untraced `fit` of both tasks
+        // at the same seed, so the decomposition's layer times can be
+        // held against the library call they stand for.
+        let mut untraced_fit_s = 0.0;
         let started = Instant::now();
         let mut op = 0u64;
         while started.elapsed().as_secs_f64() < ctx.seconds / 2.0 {
@@ -257,33 +264,40 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
             let a = iterate_traced(&lin, seed, &tracer, op);
             let b = iterate_traced(&log, seed, &tracer, op);
             traced_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-            match (a, b) {
-                (Ok((lf, ls)), Ok((gf, gs))) => {
+            let t1 = Instant::now();
+            let ua = lin.est.fit(&lin.data, &mut StdRng::seed_from_u64(seed));
+            let ub = log.est.fit(&log.data, &mut StdRng::seed_from_u64(seed));
+            untraced_fit_s += t1.elapsed().as_secs_f64();
+            match (a, b, ua, ub) {
+                (Ok((lf, ls)), Ok((gf, gs)), Ok(ua), Ok(ub)) => {
                     let ok = lin_refs.matches(op, &lf)
                         && lin_refs.matches(op, &ls)
+                        && lin_refs.matches(op, &ua)
                         && log_refs.matches(op, &gf)
-                        && log_refs.matches(op, &gs);
+                        && log_refs.matches(op, &gs)
+                        && log_refs.matches(op, &ub);
                     out.check(ok, || {
                         format!("traced op {op}: the decomposed calls released other bits than fit")
                     });
                 }
-                (Err(e), _) | (_, Err(e)) => out.check(false, || format!("traced op {op}: {e}")),
+                (Err(e), ..) | (_, Err(e), ..) => {
+                    out.check(false, || format!("traced op {op}: {e}"));
+                }
+                (.., Err(e), _) | (.., Err(e)) => {
+                    out.check(false, || format!("traced op {op}: {e}"));
+                }
             }
             op += 1;
         }
         out.roll_up(&tracer, op as usize, &traced_ms);
-        // The share of the traced in-memory fit's wall time that its four
-        // layer calls (validate, assemble, perturb, solve) account for.
-        let fit_wall = tracer.wall_seconds("fit");
-        let fit_self = tracer.self_seconds().get("fit").copied().unwrap_or(0.0);
-        out.layers.insert(
-            "trace.fit_coverage",
-            if fit_wall > 0.0 {
-                1.0 - fit_self / fit_wall
-            } else {
-                0.0
-            },
-        );
+        // The four layer calls of the traced in-memory fits (validate,
+        // assemble, perturb, solve) against the untraced `fit` calls at
+        // the same seeds: the decomposition must do the library's work.
+        let coverage = tracer.child_seconds("fit") / untraced_fit_s;
+        out.layers.insert("trace.fit_coverage", coverage);
+        out.check((coverage - 1.0).abs() <= FIT_COVERAGE_TOLERANCE, || {
+            format!("the traced fit's layer calls took {coverage:.3}× the untraced fit's time")
+        });
         super::write_spans(ctx, "fit_census", &tracer)?;
     }
     Ok(out)

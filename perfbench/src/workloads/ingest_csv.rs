@@ -16,7 +16,7 @@ use rand::SeedableRng;
 
 use super::{Ctx, Outcome, EPSILON, SEEDS};
 use crate::pipeline::{self, At, Role, TimedSource};
-use crate::stats::{Probe, RssSampler};
+use crate::stats::RssSampler;
 use crate::trace::Tracer;
 
 const ROWS: usize = 370_000;
@@ -48,7 +48,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
     // Set-up: generate the extract, write it (shortest-round-trip
     // floats), compute the in-memory reference release at every seed,
     // drop the dataset, and warm the page cache with one streamed fit.
-    let references = ctx.repeat_setup(&mut out, Probe::Compute, || {
+    let references = ctx.repeat_setup(&mut out, || {
         let data = workload::build(Country::Us, Task::Linear, rows, 14, ctx.seed).data;
         fm_data::csv::write_dataset(&data, &path).map_err(|e| e.to_string())?;
         let references = (0..SEEDS)

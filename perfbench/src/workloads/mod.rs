@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use crate::stats::{self, HostSpeed, Probe, Slicer};
+use crate::stats::{self, HostSpeed, Slicer};
 use crate::trace::Tracer;
 
 /// The ε every workload's fits run at (the paper's default).
@@ -31,7 +31,7 @@ const ASSEMBLY_SPANS: [&str; 4] = [
 ];
 
 /// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 3;
+const SETUPS: usize = 5;
 
 /// Seconds of work between two reference ops (see [`Slicer`]): short
 /// against the host's speed swings, long against the reference op.
@@ -64,19 +64,18 @@ impl Ctx {
         self.seed.wrapping_mul(1_000_003).wrapping_add(k % SEEDS)
     }
 
-    /// Runs `build` [`SETUPS`] times (once under `--smoke`), timing each
+    /// Runs `build` [`SETUPS`] times (once in the smoke test), timing each
     /// as a slice of its own, and keeps the last state.
     pub fn repeat_setup<T>(
         &self,
         out: &mut Outcome,
-        probe: Probe,
         mut build: impl FnMut() -> Result<T, String>,
     ) -> Result<T, String> {
         let repeats = if self.smoke { 1 } else { SETUPS };
         let mut state = None;
         for _ in 0..repeats {
             drop(state.take());
-            let mut slicer = Slicer::new(&self.host, probe);
+            let mut slicer = Slicer::new(&self.host);
             let t0 = Instant::now();
             state = Some(build()?);
             let raw = t0.elapsed().as_secs_f64();
@@ -87,7 +86,7 @@ impl Ctx {
     }
 
     /// Runs `op` (given its index) in a closed loop for `seconds`, in
-    /// slices of [`SLICE_S`] scaled by the compute probe. `op` returns its
+    /// slices of [`SLICE_S`] scaled by the reference op. `op` returns its
     /// measured seconds, or `None` when it failed. Returns each op's
     /// `(measured seconds, scale)`.
     pub fn closed_loop(
@@ -96,7 +95,7 @@ impl Ctx {
         mut op: impl FnMut(u64) -> Option<f64>,
     ) -> Vec<(f64, f64)> {
         let mut samples = Vec::new();
-        let mut slicer = Slicer::new(&self.host, Probe::Compute);
+        let mut slicer = Slicer::new(&self.host);
         let started = Instant::now();
         let mut k = 0u64;
         while started.elapsed().as_secs_f64() < seconds {

@@ -7,26 +7,36 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
+use std::fs::File;
+use std::io::{Read as _, Seek as _, SeekFrom};
+use std::os::unix::fs::MetadataExt as _;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use fm_core::assembly::CoefficientAccumulator;
 use fm_core::linreg::DpLinearRegression;
 use fm_core::model::LinearModel;
 use fm_core::session::SharedPrivacySession;
+use fm_core::FmError;
 use fm_data::stream::{InMemorySource, RowBlock, RowSource};
 use fm_data::{synth, Dataset};
 use fm_privacy::wal::CompactionPolicy;
-use fm_serve::{FitOutcome, FitRequest, FitService, JobHandle, ServeConfig};
+use fm_privacy::PrivacyError;
+use fm_serve::{FitOutcome, FitRequest, FitService, JobHandle, ServeConfig, ServeError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use super::{Ctx, Outcome, EPSILON, SLICE_S};
+use super::{Ctx, Outcome, EPSILON};
 use crate::pipeline::{self, At};
-use crate::stats::{Probe, RssSampler, Slicer};
+use crate::stats::{RssSampler, Slicer};
 use crate::trace::Tracer;
 
+/// Seconds the producers keep their fits in flight between two reference
+/// ops. The reference op must not share the cores with the service, so
+/// the producers drain before it; a slice this long keeps the drain a
+/// small share of the run (`measured_serve_drain_frac` in the report).
+const SLICE_S: f64 = 2.0;
 const PRODUCERS: usize = 2;
 const TENANTS_PER_PRODUCER: usize = 8;
 const IN_FLIGHT: usize = 4;
@@ -40,6 +50,8 @@ const QUEUE_BLOCKS: usize = 4;
 const WARM_UP_FITS: usize = 64;
 /// WAL reserve/commit probes in the traced run.
 const WAL_PROBES: usize = 200;
+/// The ε resolution of `SharedPrivacySession`'s counter.
+const EPS_QUANTUM: f64 = 1e-12;
 
 struct Tenant {
     name: String,
@@ -114,10 +126,63 @@ struct Settled {
     admit_us: f64,
 }
 
-/// Watches the WAL's settled-record count for drops, i.e. compactions.
-struct CompactionWatch {
-    last_settled: usize,
+/// Reads back what the WAL writes during the traced window: the lines
+/// appended to the log, and the compactions that rename a rewritten log
+/// over it (their lines count too). It keeps the file it reads open, so
+/// lines appended just before a compaction are still read from the
+/// replaced file.
+struct WalTail {
+    path: PathBuf,
+    file: File,
+    ino: u64,
+    records: u64,
     compactions: u64,
+}
+
+impl WalTail {
+    /// Starts at the log's current end: only later lines count.
+    fn open(path: &Path) -> std::io::Result<Self> {
+        let mut file = File::open(path)?;
+        file.seek(SeekFrom::End(0))?;
+        let ino = file.metadata()?.ino();
+        Ok(WalTail {
+            path: path.to_path_buf(),
+            file,
+            ino,
+            records: 0,
+            compactions: 0,
+        })
+    }
+
+    /// Counts the lines written since the last poll.
+    fn poll(&mut self) -> std::io::Result<()> {
+        self.read_lines()?;
+        if std::fs::metadata(&self.path)?.ino() != self.ino {
+            // The replaced log takes no more appends once the rename is
+            // done: read its last lines, then the new log from its start.
+            self.read_lines()?;
+            self.file = File::open(&self.path)?;
+            self.ino = self.file.metadata()?.ino();
+            self.compactions += 1;
+            self.read_lines()?;
+        }
+        Ok(())
+    }
+
+    fn read_lines(&mut self) -> std::io::Result<()> {
+        let mut bytes = Vec::new();
+        self.file.read_to_end(&mut bytes)?;
+        self.records += bytes.iter().filter(|&&b| b == b'\n').count() as u64;
+        Ok(())
+    }
+}
+
+/// Whether a submit failed because admission refused the fit's ε.
+fn refused(e: &ServeError) -> bool {
+    matches!(
+        e,
+        ServeError::Fm(FmError::Privacy(PrivacyError::BudgetExhausted { .. }))
+    )
 }
 
 /// Submits one fit for `tenant` and feeds its blocks.
@@ -132,9 +197,12 @@ fn submit(
     let t = &tenants[tenant];
     let request = FitRequest::new(t.name.as_str(), format!("fit-{op}"), D).seed(seed);
     let t0 = Instant::now();
-    let (handle, sender) = service
-        .submit(estimator(), request)
-        .map_err(|e| e.to_string())?;
+    let (handle, sender) = service.submit(estimator(), request).map_err(|e| {
+        if let (Some(tr), true) = (tracer, refused(&e)) {
+            tr.count("session.refused", 1.0);
+        }
+        e.to_string()
+    })?;
     let t1 = Instant::now();
     for block in &t.blocks {
         sender.send(block.clone()).map_err(|e| e.to_string())?;
@@ -159,9 +227,18 @@ fn submit(
     Ok((job, (t1 - t0).as_secs_f64() * 1e6))
 }
 
+/// What one producer, or all of them, did in one window.
+#[derive(Default)]
+struct Window {
+    settled: Vec<Settled>,
+    errors: Vec<String>,
+    /// Seconds from the window's deadline until its last fit settled.
+    drain_s: f64,
+    wall_s: f64,
+}
+
 /// One producer's closed loop until `deadline`: keep [`IN_FLIGHT`] fits
 /// in flight over its own tenants, then drain.
-#[allow(clippy::too_many_arguments)]
 fn produce(
     ctx: &Ctx,
     served: &Served,
@@ -169,12 +246,13 @@ fn produce(
     producer: usize,
     deadline: Instant,
     tracer: Option<&Tracer>,
-    watch: &Mutex<CompactionWatch>,
-) -> (Vec<Settled>, Vec<String>) {
+    wal: Option<&Mutex<WalTail>>,
+) -> Window {
     let mut settled = Vec::new();
     let mut errors = Vec::new();
     let mut in_flight: VecDeque<(Job, f64)> = VecDeque::new();
     let mut next = 0u64;
+    let mut last_settled = deadline;
     loop {
         if Instant::now() < deadline && in_flight.len() < IN_FLIGHT && errors.is_empty() {
             let tenant = producer * TENANTS_PER_PRODUCER + next as usize % TENANTS_PER_PRODUCER;
@@ -198,15 +276,14 @@ fn produce(
         };
         let outcome = job.handle.wait();
         let done = Instant::now();
+        last_settled = last_settled.max(done);
         if let Some(tr) = tracer {
             tr.record("service.settle", job.op, None, job.finished, done);
             tr.count("service.fits", 1.0);
-            if let Some(stats) = served.session.wal_stats() {
-                let mut w = watch.lock().expect("compaction watch poisoned");
-                if stats.settled_records < w.last_settled {
-                    w.compactions += 1;
-                }
-                w.last_settled = stats.settled_records;
+        }
+        if let Some(wal) = wal {
+            if let Err(e) = wal.lock().expect("WAL reader poisoned").poll() {
+                errors.push(format!("reading the WAL back: {e}"));
             }
         }
         match outcome {
@@ -222,7 +299,12 @@ fn produce(
             Err(e) => errors.push(format!("fit {}: {e}", job.op)),
         }
     }
-    (settled, errors)
+    Window {
+        settled,
+        errors,
+        drain_s: (last_settled - deadline).as_secs_f64(),
+        wall_s: 0.0,
+    }
 }
 
 /// Runs every producer until `seconds` have passed and all fits drained.
@@ -232,27 +314,29 @@ fn window(
     tenants: &[Tenant],
     seconds: f64,
     tracer: Option<&Tracer>,
-    watch: &Mutex<CompactionWatch>,
-) -> (Vec<Settled>, Vec<String>, f64) {
+    wal: Option<&Mutex<WalTail>>,
+) -> Window {
     let started = Instant::now();
-    let deadline = started + std::time::Duration::from_secs_f64(seconds);
-    let results: Vec<_> = std::thread::scope(|scope| {
+    let deadline = started + Duration::from_secs_f64(seconds);
+    let results: Vec<Window> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..PRODUCERS)
-            .map(|p| scope.spawn(move || produce(ctx, served, tenants, p, deadline, tracer, watch)))
+            .map(|p| scope.spawn(move || produce(ctx, served, tenants, p, deadline, tracer, wal)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("producer thread panicked"))
             .collect()
     });
-    let wall = started.elapsed().as_secs_f64();
-    let mut settled = Vec::new();
-    let mut errors = Vec::new();
-    for (s, e) in results {
-        settled.extend(s);
-        errors.extend(e);
+    let mut all = Window {
+        wall_s: started.elapsed().as_secs_f64(),
+        ..Window::default()
+    };
+    for w in results {
+        all.settled.extend(w.settled);
+        all.errors.extend(w.errors);
+        all.drain_s = all.drain_s.max(w.drain_s);
     }
-    (settled, errors, wall)
+    all
 }
 
 /// The direct `partial_fit` a served fit must equal, cached per
@@ -334,7 +418,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
 
     // Set-up: tenant data, a fresh WAL, the service, and warm-up fits
     // through it.
-    let (tenants, served) = ctx.repeat_setup(&mut out, Probe::Durable, || {
+    let (tenants, served) = ctx.repeat_setup(&mut out, || {
         let tenants = tenants(ctx.seed)?;
         let _ = std::fs::remove_file(&wal);
         let (session, _) = SharedPrivacySession::with_wal(&wal, None).map_err(|e| e.to_string())?;
@@ -369,29 +453,38 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
         }
         Ok((tenants, served))
     })?;
-    let watch = Mutex::new(CompactionWatch {
-        last_settled: 0,
-        compactions: 0,
-    });
-
-    // The measured loop, in slices: producers run for one slice, drain,
-    // and the reference op is timed before the next (see `Slicer`).
+    // The measured loop, in equal slices of about `SLICE_S`: producers
+    // keep their fits in flight for one slice, drain, and the reference
+    // op is timed before the next (see `Slicer`).
     let rss = RssSampler::start();
-    let mut slicer = Slicer::new(&ctx.host, Probe::Durable);
+    let mut slicer = Slicer::new(&ctx.host);
+    let slices = (ctx.untraced_seconds() / SLICE_S).ceil().max(1.0);
     let (mut settled, mut errors, mut samples) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut wall, mut scaled_wall) = (0.0, 0.0);
-    let started = Instant::now();
-    while started.elapsed().as_secs_f64() < ctx.untraced_seconds() {
-        let (slice, slice_errors, slice_wall) =
-            window(ctx, &served, &tenants, SLICE_S, None, &watch);
+    let (mut wall, mut scaled_wall, mut drain) = (0.0, 0.0, 0.0);
+    for _ in 0..slices as usize {
+        let slice = window(
+            ctx,
+            &served,
+            &tenants,
+            ctx.untraced_seconds() / slices,
+            None,
+            None,
+        );
         let scale = slicer.scale();
-        samples.extend(slice.iter().map(|s| (s.latency_ms / 1e3, scale)));
-        wall += slice_wall;
-        scaled_wall += slice_wall * scale;
-        settled.extend(slice);
-        errors.extend(slice_errors);
+        samples.extend(slice.settled.iter().map(|s| (s.latency_ms / 1e3, scale)));
+        wall += slice.wall_s;
+        scaled_wall += slice.wall_s * scale;
+        drain += slice.drain_s;
+        settled.extend(slice.settled);
+        errors.extend(slice.errors);
     }
     (out.peak_rss_mb, out.rss_samples) = rss.stop();
+    out.extra.push((
+        "measured_serve_drain_frac".into(),
+        drain / wall,
+        "ratio",
+        slices as usize,
+    ));
     let mut fits = served.warm_fits + settled.len() as u64;
     out.op_raw_ms = samples.iter().map(|&(s, _)| s * 1e3).collect();
     out.op_ms = samples.iter().map(|&(s, scale)| s * scale * 1e3).collect();
@@ -421,14 +514,18 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
 
     if ctx.trace {
         let tracer = Tracer::new();
-        let (traced, errors, _) = window(
+        let wal_tail =
+            Mutex::new(WalTail::open(&wal).map_err(|e| format!("{}: {e}", wal.display()))?);
+        let traced_window = window(
             ctx,
             &served,
             &tenants,
             ctx.seconds / 2.0,
             Some(&tracer),
-            &watch,
+            Some(&wal_tail),
         );
+        let (traced, errors) = (traced_window.settled, traced_window.errors);
+        let wal_tail = wal_tail.into_inner().expect("WAL reader poisoned");
         fits += traced.len() as u64;
         let traced_ms: Vec<f64> = traced.iter().map(|s| s.latency_ms).collect();
         for s in &traced {
@@ -460,8 +557,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
         let layers = &mut out.layers;
         layers.insert("wal.reserve_s", wal_begin - mem_begin);
         layers.insert("session.commit_s", wal_commit);
-        // One reserve and one commit record per traced fit.
-        layers.insert("wal.records", 2.0 * traced.len() as f64);
+        layers.insert("wal.records", wal_tail.records as f64);
         layers.insert(
             "wal.file_bytes",
             served
@@ -469,18 +565,18 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
                 .wal_stats()
                 .map_or(0.0, |s| s.file_bytes as f64),
         );
-        layers.insert(
-            "wal.compactions",
-            watch.lock().expect("compaction watch poisoned").compactions as f64,
-        );
+        layers.insert("wal.compactions", wal_tail.compactions as f64);
         super::write_spans(ctx, "serve_small_fits", &tracer)?;
     }
 
     // Ledger gates: exactly one ε debit per settled fit, and the WAL
-    // agrees with the session's counter.
-    let expected = fits as f64 * EPSILON;
+    // agrees with the session's counter. The session counts ε in whole
+    // quanta of 1e-12, so the expected total is formed the same way and
+    // the drift is exactly 0.
+    let quanta_per_fit = (EPSILON / EPS_QUANTUM).round() as u64;
+    let expected = (fits * quanta_per_fit) as f64 * EPS_QUANTUM;
     let drift = served.session.spent_epsilon() - expected;
-    out.check(drift.abs() <= 1e-9 * expected.max(1.0), || {
+    out.check(drift == 0.0, || {
         format!(
             "ledger drift: spent {} for {fits} fits",
             served.session.spent_epsilon()
