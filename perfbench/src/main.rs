@@ -18,10 +18,14 @@
 //! `--workload all` runs every workload in a child process of its own and
 //! prints one table; it exits non-zero when any gate fails.
 
+mod heap;
 mod pipeline;
 mod stats;
 mod trace;
 mod workloads;
+
+#[global_allocator]
+static ALLOC: heap::Counting = heap::Counting;
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -43,7 +47,7 @@ const END_TO_END: [(&str, &str); 4] = [
     ("setup_s", "s"),
     ("rows_per_s", "rows/s"),
     ("op_ms_p50", "ms"),
-    ("peak_rss_mb", "MiB"),
+    ("peak_heap_mb", "MiB"),
 ];
 
 /// Per-layer metrics (`--trace 1`), reported by every workload; a layer a
@@ -180,7 +184,7 @@ fn metrics(outcome: &Outcome, traced: bool) -> Vec<Metric> {
                     "setup_s" => (stats::median(&outcome.setup_s), outcome.setup_s.len()),
                     "rows_per_s" => (outcome.rows_per_s, outcome.op_ms.len()),
                     "op_ms_p50" => (stats::median(&outcome.op_ms), outcome.op_ms.len()),
-                    "peak_rss_mb" => (outcome.peak_rss_mb, outcome.rss_samples),
+                    "peak_heap_mb" => (outcome.peak_heap_mb, outcome.op_ms.len()),
                     _ => unreachable!("every end-to-end metric has a source"),
                 };
                 Metric {

@@ -1,9 +1,6 @@
 //! Summary statistics and host probes shared by every workload.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The `q`-quantile (0 ≤ q ≤ 1) of `values` by linear interpolation;
 /// 0 for an empty slice.
@@ -32,47 +29,6 @@ pub fn tail(values: &[f64]) -> Option<(&'static str, f64)> {
         Some(("p90", quantile(values, 0.90)))
     } else {
         None
-    }
-}
-
-/// Resident set size of this process in MiB (`VmRSS`), if readable.
-fn rss_mib() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
-    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kib / 1024.0)
-}
-
-/// Samples the resident set every few milliseconds on a thread of its own
-/// until [`RssSampler::stop`], keeping the peak: the memory a workload
-/// holds while it is measured, without the set-up's transient peak.
-pub struct RssSampler {
-    stop: Arc<AtomicBool>,
-    handle: JoinHandle<(f64, usize)>,
-}
-
-impl RssSampler {
-    pub fn start() -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let mut peak = rss_mib().unwrap_or(0.0);
-            let mut samples = 1;
-            while !flag.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(5));
-                peak = peak.max(rss_mib().unwrap_or(0.0));
-                samples += 1;
-            }
-            (peak, samples)
-        });
-        RssSampler { stop, handle }
-    }
-
-    /// Stops the sampler; returns the peak resident set in MiB and the
-    /// number of samples taken.
-    pub fn stop(self) -> (f64, usize) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.handle.join().expect("rss sampler panicked")
     }
 }
 
@@ -116,14 +72,17 @@ pub fn fma_ceiling_gflops_per_core(seconds: f64) -> f64 {
 
 /// What the reference op takes at the nominal host speed every reported
 /// timing is converted to.
-const NOMINAL_REFERENCE_S: f64 = 0.006;
+const NOMINAL_REFERENCE_S: f64 = 0.012;
 
 /// A fixed piece of work outside the library: a multiply-add pass over
 /// 16 MiB and a parse of 60,000 decimal floats (cores, caches and
 /// memory). This host shares its cores and caches with other tenants,
 /// and its speed swings by up to 2× within a minute; the reference op
 /// slows down with it, so dividing by the reference op removes that
-/// swing. Workloads time it only while the library is idle (no prefetch
+/// swing. The work runs once on one thread and once on two threads at
+/// once: every workload keeps both cores busy, and a tenant that takes
+/// one core slows them while a one-thread pass runs on the other, free
+/// core at full speed. Workloads time it only while the library is idle (no prefetch
 /// worker, assembly thread or fit in flight), so the library's own work
 /// cannot slow it. It touches no disk: fsyncs leave flush work on the
 /// host after they return, which would slow a disk probe after a
@@ -143,8 +102,8 @@ impl HostSpeed {
         }
     }
 
-    /// Seconds one reference op takes right now.
-    fn reference_s(&self) -> f64 {
+    /// Seconds one pass of the fixed work takes on this thread.
+    fn pass_s(&self) -> f64 {
         let t0 = Instant::now();
         let mut acc = 0.0f64;
         for &v in &self.buf {
@@ -157,6 +116,19 @@ impl HostSpeed {
         }
         std::hint::black_box(acc);
         t0.elapsed().as_secs_f64()
+    }
+
+    /// Seconds one reference op takes right now: a pass on this thread
+    /// alone, then a pass on each of two threads at once (the slower
+    /// counts).
+    fn reference_s(&self) -> f64 {
+        let alone = self.pass_s();
+        let both = std::thread::scope(|s| {
+            let other = s.spawn(|| self.pass_s());
+            let mine = self.pass_s();
+            mine.max(other.join().expect("reference pass panicked"))
+        });
+        alone + both
     }
 }
 

@@ -21,8 +21,8 @@ use rand::SeedableRng;
 
 use super::fit_census::slice;
 use super::{Ctx, Outcome, EPSILON, SEEDS};
+use crate::heap;
 use crate::pipeline::{self, At};
-use crate::stats::RssSampler;
 use crate::trace::Tracer;
 
 const CLIENTS: usize = 8;
@@ -183,7 +183,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
             && r.report.survivors.len() == CLIENTS
     };
 
-    let rss = RssSampler::start();
+    let heap = heap::Window::start();
     let samples = ctx.closed_loop(ctx.untraced_seconds(), |k| {
         let t0 = Instant::now();
         let result = round(
@@ -211,7 +211,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
             }
         }
     });
-    (out.peak_rss_mb, out.rss_samples) = rss.stop();
+    out.peak_heap_mb = heap.stop();
     out.record_ops(&samples, rows, "round_ms");
 
     if ctx.trace {

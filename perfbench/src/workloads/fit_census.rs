@@ -21,8 +21,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use super::{Ctx, Outcome, EPSILON, SEEDS};
+use crate::heap;
 use crate::pipeline::{self, At, Role, TimedSource};
-use crate::stats::{self, RssSampler};
+use crate::stats;
 use crate::trace::Tracer;
 
 const ROWS: usize = 370_000;
@@ -182,7 +183,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
     // Measured closed loop.
     let mut fit_rate = Vec::new();
     let mut stream_rate = Vec::new();
-    let rss = RssSampler::start();
+    let heap = heap::Window::start();
     let samples = ctx.closed_loop(ctx.untraced_seconds(), |k| {
         let seed = ctx.mech_seed(k);
         let t0 = Instant::now();
@@ -210,7 +211,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
             }
         }
     });
-    (out.peak_rss_mb, out.rss_samples) = rss.stop();
+    out.peak_heap_mb = heap.stop();
     out.record_ops(&samples, 4 * n, "op_ms");
     out.extra.push((
         "measured_fit_rows_per_s".into(),

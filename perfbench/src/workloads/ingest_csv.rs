@@ -15,8 +15,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use super::{Ctx, Outcome, EPSILON, SEEDS};
+use crate::heap;
 use crate::pipeline::{self, At, Role, TimedSource};
-use crate::stats::RssSampler;
 use crate::trace::Tracer;
 
 const ROWS: usize = 370_000;
@@ -63,7 +63,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
     })?;
     let csv_bytes = std::fs::metadata(&path).map_err(|e| e.to_string())?.len() as f64;
 
-    let rss = RssSampler::start();
+    let heap = heap::Window::start();
     let samples = ctx.closed_loop(ctx.untraced_seconds(), |k| {
         let t0 = Instant::now();
         let model = open(&path).and_then(|csv| {
@@ -86,7 +86,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
             }
         }
     });
-    (out.peak_rss_mb, out.rss_samples) = rss.stop();
+    out.peak_heap_mb = heap.stop();
     out.record_ops(&samples, rows, "op_ms");
 
     if ctx.trace {

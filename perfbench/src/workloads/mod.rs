@@ -125,8 +125,8 @@ pub struct Outcome {
     pub op_raw_ms: Vec<f64>,
     /// Rows through the ops per second at nominal host speed.
     pub rows_per_s: f64,
-    pub peak_rss_mb: f64,
-    pub rss_samples: usize,
+    /// Peak heap in use while the untraced loop runs (see [`crate::heap`]).
+    pub peak_heap_mb: f64,
     /// Ops (and whole-run checks) attempted, and those that failed or
     /// mismatched their reference.
     pub attempted: u64,
@@ -288,13 +288,17 @@ impl Outcome {
 
 /// Runs the named workload.
 pub fn run(workload: &str, ctx: &Ctx) -> Result<Outcome, String> {
-    match workload {
+    let mut out = match workload {
         "fit_census" => fit_census::run(ctx),
         "ingest_csv" => ingest_csv::run(ctx),
         "serve_small_fits" => serve_small_fits::run(ctx),
         "federated_round" => federated_round::run(ctx),
         other => Err(format!("unknown workload {other}")),
+    }?;
+    if let Some(hwm) = crate::heap::vm_hwm_mib() {
+        out.extra.push(("measured_vm_hwm_mb".into(), hwm, "MiB", 1));
     }
+    Ok(out)
 }
 
 /// Writes the traced window's spans next to the workload's other files.

@@ -28,8 +28,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use super::{Ctx, Outcome, EPSILON};
+use crate::heap;
 use crate::pipeline::{self, At};
-use crate::stats::{RssSampler, Slicer};
+use crate::stats::Slicer;
 use crate::trace::Tracer;
 
 /// Seconds the producers keep their fits in flight between two reference
@@ -48,6 +49,10 @@ const QUEUE_BLOCKS: usize = 4;
 /// Sequential fits through the fresh service during set-up (four per
 /// tenant), enough that one set-up's time is not one fsync's luck.
 const WARM_UP_FITS: usize = 64;
+/// Fits per producer in the window `peak_heap_mb` is measured over. The
+/// session keeps every debit, so the heap grows with the fits settled; a
+/// fixed count keeps a faster service from reading as a bigger one.
+const HEAP_FITS_PER_PRODUCER: u64 = 1_024;
 /// WAL reserve/commit probes in the traced run.
 const WAL_PROBES: usize = 200;
 /// The ε resolution of `SharedPrivacySession`'s counter.
@@ -237,14 +242,15 @@ struct Window {
     wall_s: f64,
 }
 
-/// One producer's closed loop until `deadline`: keep [`IN_FLIGHT`] fits
-/// in flight over its own tenants, then drain.
+/// One producer's closed loop until `deadline` or until it has submitted
+/// `limit` fits: keep [`IN_FLIGHT`] fits in flight over its own tenants,
+/// then drain.
 fn produce(
     ctx: &Ctx,
     served: &Served,
     tenants: &[Tenant],
     producer: usize,
-    deadline: Instant,
+    (deadline, limit): (Instant, u64),
     tracer: Option<&Tracer>,
     wal: Option<&Mutex<WalTail>>,
 ) -> Window {
@@ -254,7 +260,11 @@ fn produce(
     let mut next = 0u64;
     let mut last_settled = deadline;
     loop {
-        if Instant::now() < deadline && in_flight.len() < IN_FLIGHT && errors.is_empty() {
+        if Instant::now() < deadline
+            && next < limit
+            && in_flight.len() < IN_FLIGHT
+            && errors.is_empty()
+        {
             let tenant = producer * TENANTS_PER_PRODUCER + next as usize % TENANTS_PER_PRODUCER;
             let op = next * PRODUCERS as u64 + producer as u64;
             match submit(
@@ -307,12 +317,13 @@ fn produce(
     }
 }
 
-/// Runs every producer until `seconds` have passed and all fits drained.
+/// Runs every producer until `seconds` have passed or each has submitted
+/// `limit` fits, and all fits drained.
 fn window(
     ctx: &Ctx,
     served: &Served,
     tenants: &[Tenant],
-    seconds: f64,
+    (seconds, limit): (f64, u64),
     tracer: Option<&Tracer>,
     wal: Option<&Mutex<WalTail>>,
 ) -> Window {
@@ -320,7 +331,10 @@ fn window(
     let deadline = started + Duration::from_secs_f64(seconds);
     let results: Vec<Window> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..PRODUCERS)
-            .map(|p| scope.spawn(move || produce(ctx, served, tenants, p, deadline, tracer, wal)))
+            .map(|p| {
+                scope
+                    .spawn(move || produce(ctx, served, tenants, p, (deadline, limit), tracer, wal))
+            })
             .collect();
         handles
             .into_iter()
@@ -453,10 +467,22 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
         }
         Ok((tenants, served))
     })?;
+    // The heap's peak over a fixed number of fits (see
+    // `HEAP_FITS_PER_PRODUCER`); a generous deadline only bounds a stall.
+    let heap = heap::Window::start();
+    let heap_window = window(
+        ctx,
+        &served,
+        &tenants,
+        (60.0, HEAP_FITS_PER_PRODUCER),
+        None,
+        None,
+    );
+    out.peak_heap_mb = heap.stop();
+
     // The measured loop, in equal slices of about `SLICE_S`: producers
     // keep their fits in flight for one slice, drain, and the reference
     // op is timed before the next (see `Slicer`).
-    let rss = RssSampler::start();
     let mut slicer = Slicer::new(&ctx.host);
     let slices = (ctx.untraced_seconds() / SLICE_S).ceil().max(1.0);
     let (mut settled, mut errors, mut samples) = (Vec::new(), Vec::new(), Vec::new());
@@ -466,7 +492,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
             ctx,
             &served,
             &tenants,
-            ctx.untraced_seconds() / slices,
+            (ctx.untraced_seconds() / slices, u64::MAX),
             None,
             None,
         );
@@ -478,14 +504,13 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
         settled.extend(slice.settled);
         errors.extend(slice.errors);
     }
-    (out.peak_rss_mb, out.rss_samples) = rss.stop();
     out.extra.push((
         "measured_serve_drain_frac".into(),
         drain / wall,
         "ratio",
         slices as usize,
     ));
-    let mut fits = served.warm_fits + settled.len() as u64;
+    let mut fits = served.warm_fits + (heap_window.settled.len() + settled.len()) as u64;
     out.op_raw_ms = samples.iter().map(|&(s, _)| s * 1e3).collect();
     out.op_ms = samples.iter().map(|&(s, scale)| s * scale * 1e3).collect();
     out.rows_per_s = (settled.len() * ROWS) as f64 / scaled_wall;
@@ -502,13 +527,13 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
     // Gates: every served release equals the direct partial_fit at its
     // seed; no fit failed.
     let mut cache = HashMap::new();
-    for s in &settled {
+    for s in heap_window.settled.iter().chain(&settled) {
         let ok = reference(&mut cache, &tenants, s.tenant, s.seed)? == &s.model;
         out.check(ok, || {
             format!("fit {}: the served release differs from partial_fit", s.op)
         });
     }
-    for e in errors {
+    for e in heap_window.errors.into_iter().chain(errors) {
         out.check(false, || e);
     }
 
@@ -520,7 +545,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
             ctx,
             &served,
             &tenants,
-            ctx.seconds / 2.0,
+            (ctx.seconds / 2.0, u64::MAX),
             Some(&tracer),
             Some(&wal_tail),
         );
