@@ -25,11 +25,17 @@
 //! build. (Changing `chunk_rows` regroups floating-point sums and may
 //! perturb coefficients at the ~1e-15 relative level; the chunk size is
 //! therefore fixed by default and an explicit parameter everywhere else.)
+//!
+//! The streaming side — [`CoefficientAccumulator`] and
+//! [`assemble_shards`] — forms the same chunk grid and merge tree
+//! incrementally, once for both coefficient types: it is generic over
+//! [`Coefficients`] and drives the objective through [`Objective`].
 
 use fm_data::stream::{RowBlock, RowSource};
 use fm_data::{DataError, Dataset};
 use fm_poly::QuadraticForm;
 
+use crate::coefficients::{Coefficients, Objective};
 use crate::mechanism::PolynomialObjective;
 use crate::{FmError, Result};
 
@@ -283,38 +289,35 @@ impl ChunkStage {
 /// feed-blocks-then-finish state machine, so the exact objective
 /// `f_D(ω) = Σ_i f(t_i, ω)` can be assembled out-of-core, shard at a
 /// time, or from any [`RowSource`] — with released coefficients
-/// **bit-identical** to [`assemble_with_chunk_rows`] on the materialized
-/// concatenation at the same `chunk_rows`, for *any* incoming block sizes
-/// or shard boundaries.
+/// **bit-identical** to the in-memory chunked assembly on the
+/// materialized concatenation at the same `chunk_rows`, for *any*
+/// incoming block sizes or shard boundaries. One accumulator serves both
+/// coefficient types: dense [`QuadraticForm`]s (the default) and
+/// general-degree [`fm_poly::Polynomial`]s.
 ///
 /// Three ingredients make that guarantee hold by construction rather than
 /// by luck:
 ///
 /// 1. every incoming block is validated against the objective's
-///    normalized-domain contract
-///    ([`PolynomialObjective::validate_rows`]) and re-chunked by a
-///    fixed-size staging buffer (`ChunkStage`), so per-chunk kernel calls
-///    see exactly the row ranges the in-memory path forms;
-/// 2. each chunk is accumulated by the same
-///    [`PolynomialObjective::accumulate_batch`] Gram kernels;
+///    normalized-domain contract ([`Objective::check_rows`]) and
+///    re-chunked by a fixed-size staging buffer (`ChunkStage`), so
+///    per-chunk kernel calls see exactly the row ranges the in-memory
+///    path forms;
+/// 2. each chunk is accumulated by the same kernels
+///    ([`Objective::accumulate`], e.g. the blocked Gram kernels of
+///    [`PolynomialObjective::accumulate_batch`]);
 /// 3. partials merge through a binary-counter merger (`TreeCounter`),
 ///    whose merge tree is provably identical to the in-memory pairwise
 ///    tree reduction while holding only `O(log n_chunks)` partials.
 ///
 /// Memory is bounded by one staged chunk (`chunk_rows × d`) plus the
 /// counter stack — independent of the stream length.
-pub struct CoefficientAccumulator<'a, O: PolynomialObjective + ?Sized> {
+pub struct CoefficientAccumulator<'a, O: ?Sized, C = QuadraticForm> {
     objective: &'a O,
-    core: StreamCore<QuadraticForm>,
+    core: StreamCore<C>,
 }
 
-/// The one merge the accumulator ever performs — identical to the merge
-/// closure of [`assemble_with_chunk_rows`].
-fn merge_quadratic(acc: &mut QuadraticForm, part: QuadraticForm) {
-    acc.merge(part);
-}
-
-impl<'a, O: PolynomialObjective + ?Sized> CoefficientAccumulator<'a, O> {
+impl<'a, O: Objective<C> + ?Sized, C: Coefficients> CoefficientAccumulator<'a, O, C> {
     /// An empty accumulator over `d` features at the default chunk size.
     #[must_use]
     pub fn new(objective: &'a O, d: usize) -> Self {
@@ -355,19 +358,8 @@ impl<'a, O: PolynomialObjective + ?Sized> CoefficientAccumulator<'a, O> {
     /// * [`FmError::Data`] for a shape mismatch or a normalized-domain
     ///   contract violation (tuple indices in the error are block-local).
     pub fn push_rows(&mut self, xs: &[f64], ys: &[f64]) -> Result<()> {
-        let objective = self.objective;
         self.core
-            .push_rows(
-                xs,
-                ys,
-                |xs, ys, d| objective.validate_rows(xs, ys, d),
-                |cx, cy, d| {
-                    let mut q = QuadraticForm::zero(d);
-                    objective.accumulate_batch(cx, cy, d, &mut q);
-                    q
-                },
-                &merge_quadratic,
-            )
+            .push_rows(self.objective, xs, ys)
             .map_err(FmError::Data)
     }
 
@@ -395,7 +387,7 @@ impl<'a, O: PolynomialObjective + ?Sized> CoefficientAccumulator<'a, O> {
     /// is the accumulator's complete floating-point state — what a
     /// federated client ships to a coordinator.
     #[must_use]
-    pub fn partial_runs(&self) -> &[(u32, QuadraticForm)] {
+    pub fn partial_runs(&self) -> &[(u32, C)] {
         self.core.partials()
     }
 
@@ -422,18 +414,8 @@ impl<'a, O: PolynomialObjective + ?Sized> CoefficientAccumulator<'a, O> {
     /// [`FmError::InvalidConfig`] for a dimension mismatch, a run pushed
     /// while rows are staged mid-chunk, an unaligned run (current chunk
     /// count not divisible by `2^rank`), or rank/row overflow.
-    pub fn push_run(&mut self, rank: u32, part: QuadraticForm) -> Result<()> {
-        if part.dim() != self.core.dim() {
-            return Err(FmError::InvalidConfig {
-                name: "run",
-                reason: format!(
-                    "run partial has d = {}, accumulator expects {}",
-                    part.dim(),
-                    self.core.dim()
-                ),
-            });
-        }
-        self.core.push_run(rank, part, &merge_quadratic)
+    pub fn push_run(&mut self, rank: u32, part: C) -> Result<()> {
+        self.core.push_run(rank, part)
     }
 
     /// Drains `source`, absorbing every block it yields; returns the
@@ -450,25 +432,7 @@ impl<'a, O: PolynomialObjective + ?Sized> CoefficientAccumulator<'a, O> {
     /// [`FmError::Data`] for a dimensionality mismatch, transport errors
     /// from the source, or contract violations.
     pub fn absorb(&mut self, source: &mut (impl RowSource + ?Sized)) -> Result<usize> {
-        let objective = self.objective;
-        let make_chunk_cols = objective.supports_columnar().then_some(
-            move |xt: &fm_linalg::Matrix, ys: &[f64], lo: usize, hi: usize| {
-                let mut q = QuadraticForm::zero(xt.rows());
-                objective.accumulate_batch_columnar(xt, ys, lo, hi, &mut q);
-                q
-            },
-        );
-        self.core.absorb_source(
-            source,
-            |xs, ys, d| objective.validate_rows(xs, ys, d),
-            |cx, cy, d| {
-                let mut q = QuadraticForm::zero(d);
-                objective.accumulate_batch(cx, cy, d, &mut q);
-                q
-            },
-            make_chunk_cols,
-            &merge_quadratic,
-        )
+        self.core.absorb_source(self.objective, source)
     }
 
     /// Serializes the accumulator's complete streaming state — chunk grid
@@ -498,32 +462,35 @@ impl<'a, O: PolynomialObjective + ?Sized> CoefficientAccumulator<'a, O> {
     /// Flushes the final ragged chunk and merges all partials into the
     /// assembled objective; `None` if no rows were absorbed.
     #[must_use]
-    pub fn finish(self) -> Option<QuadraticForm> {
-        let CoefficientAccumulator { objective, core } = self;
-        core.finish(
-            |cx, cy, d| {
-                let mut q = QuadraticForm::zero(d);
-                objective.accumulate_batch(cx, cy, d, &mut q);
-                q
-            },
-            &merge_quadratic,
-        )
+    pub fn finish(self) -> Option<C> {
+        self.core.finish(self.objective)
     }
 }
 
-/// The shared body of the streaming accumulators — staging, shape
-/// checking, counter merging, row accounting — generic over the partial
-/// type, so the degree-2 ([`CoefficientAccumulator`]) and general-degree
-/// (`fm_core::generic::PolynomialAccumulator`) paths can never drift on
-/// the chunking/merging logic their bit-identity guarantees rest on.
-pub(crate) struct StreamCore<T> {
+/// The objective-free state of a streaming accumulator — staging, shape
+/// checking, counter merging, row accounting — which is exactly what a
+/// checkpoint serializes.
+pub(crate) struct StreamCore<C> {
     d: usize,
     stage: ChunkStage,
-    counter: TreeCounter<T>,
+    counter: TreeCounter<C>,
     rows: usize,
 }
 
-impl<T> StreamCore<T> {
+/// One chunk partial: fresh zero coefficients, accumulated by the
+/// objective's kernel over exactly the rows the in-memory chunking forms.
+fn chunk<O: Objective<C> + ?Sized, C: Coefficients>(
+    objective: &O,
+    xs: &[f64],
+    ys: &[f64],
+    d: usize,
+) -> C {
+    let mut part = C::zero(d);
+    objective.accumulate(xs, ys, d, &mut part);
+    part
+}
+
+impl<C: Coefficients> StreamCore<C> {
     pub(crate) fn new(d: usize, chunk_rows: usize) -> Self {
         StreamCore {
             d,
@@ -553,18 +520,14 @@ impl<T> StreamCore<T> {
     }
 
     /// Shape-checks, validates, stages, and accumulates one row-major
-    /// block; `make_chunk(xs, ys, d)` builds a chunk partial from exactly
-    /// the row ranges the in-memory chunking would form. `DataError`-typed
-    /// so the borrowed-block visitor ([`RowSource::for_each_block`]) can
-    /// drive it directly; the public accumulator wrappers lift the error
-    /// into [`FmError::Data`].
-    pub(crate) fn push_rows(
+    /// block. `DataError`-typed so the borrowed-block visitor
+    /// ([`RowSource::for_each_block`]) can drive it directly; the public
+    /// accumulator lifts the error into [`FmError::Data`].
+    pub(crate) fn push_rows<O: Objective<C> + ?Sized>(
         &mut self,
+        objective: &O,
         xs: &[f64],
         ys: &[f64],
-        validate: impl Fn(&[f64], &[f64], usize) -> fm_data::Result<()>,
-        make_chunk: impl Fn(&[f64], &[f64], usize) -> T,
-        merge: &impl Fn(&mut T, T),
     ) -> fm_data::Result<()> {
         if xs.len() != ys.len() * self.d {
             return Err(DataError::LengthMismatch {
@@ -572,11 +535,11 @@ impl<T> StreamCore<T> {
                 labels: ys.len(),
             });
         }
-        validate(xs, ys, self.d)?;
+        objective.check_rows(xs, ys, self.d)?;
         let d = self.d;
         let counter = &mut self.counter;
         self.stage.push(xs, ys, &mut |cx, cy| {
-            counter.push(make_chunk(cx, cy, d), merge);
+            counter.push(chunk(objective, cx, cy, d), &C::merge);
         });
         self.rows += ys.len();
         Ok(())
@@ -608,30 +571,28 @@ impl<T> StreamCore<T> {
     /// merge tree (and the columnar kernels are bit-identical to the
     /// row-major ones), so which path a source takes can never perturb
     /// the assembled coefficients.
-    pub(crate) fn absorb_source<C>(
+    pub(crate) fn absorb_source<O: Objective<C> + ?Sized>(
         &mut self,
+        objective: &O,
         source: &mut (impl RowSource + ?Sized),
-        validate: impl Fn(&[f64], &[f64], usize) -> fm_data::Result<()>,
-        make_chunk: impl Fn(&[f64], &[f64], usize) -> T,
-        make_chunk_cols: Option<C>,
-        merge: &impl Fn(&mut T, T),
-    ) -> Result<usize>
-    where
-        C: Fn(&fm_linalg::Matrix, &[f64], usize, usize) -> T,
-    {
+    ) -> Result<usize> {
         self.check_dim("source", source.dim())?;
         let before = self.rows;
         if self.stage.staged_rows() == 0 {
             if let Some(data) = source.take_dataset() {
                 let d = self.d;
                 debug_assert_eq!(data.d(), d, "take_dataset arity drifted from dim()");
-                validate(data.x().as_slice(), data.y(), d).map_err(FmError::Data)?;
+                objective
+                    .check_rows(data.x().as_slice(), data.y(), d)
+                    .map_err(FmError::Data)?;
                 let n = data.n();
                 let chunk_rows = self.stage.chunk_rows();
                 let ys = data.y();
-                let xt = make_chunk_cols
-                    .as_ref()
-                    .and_then(|_| data.columnar_on_reuse());
+                let xt = if objective.columnar() {
+                    data.columnar_on_reuse()
+                } else {
+                    None
+                };
                 let xs = data.x().as_slice();
                 // Only the *full* chunks may enter the counter here: a
                 // later absorb must be able to keep filling the final
@@ -642,17 +603,21 @@ impl<T> StreamCore<T> {
                 for c in 0..full_chunks {
                     let lo = c * chunk_rows;
                     let hi = lo + chunk_rows;
-                    let part = match (&make_chunk_cols, xt) {
-                        (Some(cols), Some(xt)) => cols(xt, ys, lo, hi),
-                        _ => make_chunk(&xs[lo * d..hi * d], &ys[lo..hi], d),
+                    let part = match xt {
+                        Some(xt) => {
+                            let mut part = C::zero(d);
+                            objective.accumulate_columnar(xt, ys, lo, hi, &mut part);
+                            part
+                        }
+                        None => chunk(objective, &xs[lo * d..hi * d], &ys[lo..hi], d),
                     };
-                    self.counter.push(part, merge);
+                    self.counter.push(part, &C::merge);
                 }
                 let lo = full_chunks * chunk_rows;
                 if lo < n {
                     let counter = &mut self.counter;
                     self.stage.push(&xs[lo * d..], &ys[lo..], &mut |cx, cy| {
-                        counter.push(make_chunk(cx, cy, d), merge);
+                        counter.push(chunk(objective, cx, cy, d), &C::merge);
                     });
                 }
                 self.rows += n;
@@ -666,7 +631,7 @@ impl<T> StreamCore<T> {
             {
                 Some(block) => {
                     self.check_dim("block", block.d())?;
-                    self.push_rows(block.xs(), block.ys(), &validate, &make_chunk, merge)
+                    self.push_rows(objective, block.xs(), block.ys())
                         .map_err(FmError::Data)?;
                 }
                 None => return Ok(self.rows - before),
@@ -675,7 +640,7 @@ impl<T> StreamCore<T> {
         let chunk_rows = self.stage.chunk_rows();
         source
             .for_each_block(chunk_rows, &mut |block| {
-                self.push_rows(block.xs(), block.ys(), &validate, &make_chunk, merge)
+                self.push_rows(objective, block.xs(), block.ys())
             })
             .map_err(FmError::Data)?;
         Ok(self.rows - before)
@@ -692,7 +657,7 @@ impl<T> StreamCore<T> {
     }
 
     /// The merge counter's run stack, bottom → top, for checkpointing.
-    pub(crate) fn partials(&self) -> &[(u32, T)] {
+    pub(crate) fn partials(&self) -> &[(u32, C)] {
         self.counter.stack()
     }
 
@@ -702,21 +667,24 @@ impl<T> StreamCore<T> {
     }
 
     /// Absorbs a pre-merged partial covering a run of `2^rank` consecutive
-    /// chunks — the merge-at-rank entry behind the public accumulator
-    /// `push_run`s. Refuses unaligned runs (the chunk count so far must be
-    /// divisible by `2^rank`), runs pushed while rows are staged mid-chunk,
-    /// and rank/row overflow — each a structural violation that would
-    /// silently break bit-identity if let through.
-    pub(crate) fn push_run(
-        &mut self,
-        rank: u32,
-        part: T,
-        merge: &impl Fn(&mut T, T),
-    ) -> Result<()> {
+    /// chunks — the merge-at-rank entry behind
+    /// [`CoefficientAccumulator::push_run`]. Refuses mismatched
+    /// dimensions, unaligned runs (the chunk count so far must be
+    /// divisible by `2^rank`), runs pushed while rows are staged
+    /// mid-chunk, and rank/row overflow — each a structural violation
+    /// that would silently break bit-identity if let through.
+    pub(crate) fn push_run(&mut self, rank: u32, part: C) -> Result<()> {
         let invalid = |reason: String| FmError::InvalidConfig {
             name: "run",
             reason,
         };
+        if part.dim() != self.d {
+            return Err(invalid(format!(
+                "run partial has d = {}, accumulator expects {}",
+                part.dim(),
+                self.d
+            )));
+        }
         if self.stage.staged_rows() != 0 {
             return Err(invalid(format!(
                 "cannot merge a chunk run while {} rows are staged mid-chunk",
@@ -738,7 +706,7 @@ impl<T> StreamCore<T> {
             .checked_mul(self.stage.chunk_rows())
             .and_then(|r| r.checked_add(self.rows))
             .ok_or_else(|| invalid("run row count overflows".to_string()))?;
-        self.counter.push_run(rank, part, merge);
+        self.counter.push_run(rank, part, &C::merge);
         self.rows = run_rows;
         Ok(())
     }
@@ -752,7 +720,7 @@ impl<T> StreamCore<T> {
         rows: usize,
         staged_xs: Vec<f64>,
         staged_ys: Vec<f64>,
-        stack: Vec<(u32, T)>,
+        stack: Vec<(u32, C)>,
     ) -> Self {
         StreamCore {
             d,
@@ -764,11 +732,7 @@ impl<T> StreamCore<T> {
 
     /// Flushes the final ragged chunk and merges all partials; `None` if
     /// nothing was pushed.
-    pub(crate) fn finish(
-        self,
-        make_chunk: impl Fn(&[f64], &[f64], usize) -> T,
-        merge: &impl Fn(&mut T, T),
-    ) -> Option<T> {
+    pub(crate) fn finish<O: Objective<C> + ?Sized>(self, objective: &O) -> Option<C> {
         let StreamCore {
             d,
             stage,
@@ -776,9 +740,9 @@ impl<T> StreamCore<T> {
             ..
         } = self;
         stage.finish(&mut |cx, cy| {
-            counter.push(make_chunk(cx, cy, d), merge);
+            counter.push(chunk(objective, cx, cy, d), &C::merge);
         });
-        counter.finish(merge)
+        counter.finish(&C::merge)
     }
 }
 
@@ -882,44 +846,30 @@ where
 /// The first shard error in shard order — [`FmError::Data`] for contract
 /// violations or transport errors (under `parallel` every shard is still
 /// assembled; error selection stays deterministic).
-pub fn assemble_shards<O, S>(
+pub fn assemble_shards<O, C, S>(
     objective: &O,
     shards: &mut [S],
     chunk_rows: usize,
-) -> Result<Vec<(usize, Option<QuadraticForm>)>>
+) -> Result<Vec<(usize, Option<C>)>>
 where
-    O: PolynomialObjective + ?Sized,
+    O: Objective<C> + ?Sized,
+    C: Coefficients,
     S: RowSource + Send,
 {
-    run_shards(shards, |shard| {
+    let run = |shard: &mut S| {
         let mut acc = CoefficientAccumulator::with_chunk_rows(objective, shard.dim(), chunk_rows);
         let rows = acc.absorb(shard)?;
         Ok((rows, acc.finish()))
-    })
-}
+    };
 
-/// The one shard fan-out: maps `run` over every shard — concurrently
-/// under the `parallel` cargo feature, serially otherwise — returning the
-/// results in shard order, with the **first error in shard order**
-/// propagated either way (under `parallel` every shard still runs; error
-/// selection stays deterministic). Shared by the degree-2
-/// ([`assemble_shards`]) and general-degree
-/// (`fm_core::generic::assemble_polynomial_shards`) shard assemblies so
-/// the scheduling/error semantics can never drift between them.
-pub(crate) fn run_shards<S, T, F>(shards: &mut [S], run: F) -> Result<Vec<T>>
-where
-    S: Send,
-    T: Send,
-    F: Fn(&mut S) -> Result<T> + Sync + Send,
-{
     #[cfg(feature = "parallel")]
-    let results: Vec<Result<T>> = {
+    let results: Vec<Result<(usize, Option<C>)>> = {
         use rayon::prelude::*;
         let handles: Vec<&mut S> = shards.iter_mut().collect();
         handles.into_par_iter().map(run).collect()
     };
     #[cfg(not(feature = "parallel"))]
-    let results: Vec<Result<T>> = shards.iter_mut().map(run).collect();
+    let results: Vec<Result<(usize, Option<C>)>> = shards.iter_mut().map(run).collect();
 
     results.into_iter().collect()
 }

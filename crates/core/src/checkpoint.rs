@@ -1,8 +1,7 @@
 //! Checkpointing for streaming fits: serialize and restore the state of a
-//! [`CoefficientAccumulator`](crate::assembly::CoefficientAccumulator) /
-//! [`PolynomialAccumulator`](crate::generic::PolynomialAccumulator) so a
-//! killed out-of-core `partial_fit` can resume **bit-identical** to an
-//! uninterrupted run.
+//! [`CoefficientAccumulator`](crate::assembly::CoefficientAccumulator), of
+//! either coefficient type, so a killed out-of-core `partial_fit` can
+//! resume **bit-identical** to an uninterrupted run.
 //!
 //! What makes bit-identity possible is that the streaming accumulator's
 //! entire state is small and exact: the fixed chunk grid position (the
@@ -40,12 +39,16 @@
 //!
 //! Polynomial partials replace the `beta`/`alpha`/`m` lines with
 //! `terms <k>` followed by `term <coeff> <e₁> … <e_d>` lines in the
-//! polynomial's canonical (degree-major) term order.
+//! polynomial's canonical (degree-major) term order — each coefficient
+//! type's [`Coefficients`] body, the same one `fm-accum v2` uploads carry.
 //!
 //! The checksum closes over the whole file, so truncation or corruption
-//! *anywhere* is refused — a half-written checkpoint can never silently
-//! resume as a shorter fit. Unknown keys and version mismatches are
-//! refused too (same stance as `persist`).
+//! *anywhere* — down to a missing final newline — is refused, and a
+//! half-written checkpoint can never silently resume as a shorter fit.
+//! Unknown keys and version mismatches are refused too (same stance as
+//! `persist`). Framing, the line reader and the staged-rows/runs section
+//! are [`crate::codec`]'s, shared with `fm-federated`'s wire format, so
+//! every refusal names the body line or byte count where it happened.
 //!
 //! # WAL integration: resume never re-debits
 //!
@@ -56,176 +59,24 @@
 //! a permit for the *already-debited* budget, so finishing the resumed fit
 //! draws no new ε.
 
-use fm_linalg::Matrix;
-use fm_poly::{Monomial, Polynomial, QuadraticForm};
-use fm_privacy::wal::checksum64;
-
 use crate::assembly::StreamCore;
+use crate::codec::{self, LineReader};
+use crate::coefficients::Coefficients;
 use crate::{FmError, Result};
 
 /// Magic first line of a checkpoint file, with the format version.
 pub const CHECKPOINT_MAGIC: &str = "fm-checkpoint v1";
 
-fn bad(reason: impl Into<String>) -> FmError {
-    FmError::Checkpoint {
-        reason: reason.into(),
-    }
-}
-
-/// The two partial kinds the streaming accumulators checkpoint.
-pub(crate) trait CheckpointPartial: Sized {
-    /// The `kind` tag in the header.
-    const KIND: &'static str;
-    fn write(&self, out: &mut String);
-    fn parse(lines: &mut LineReader<'_>, d: usize) -> Result<Self>;
-}
-
-impl CheckpointPartial for QuadraticForm {
-    const KIND: &'static str = "quadratic";
-
-    fn write(&self, out: &mut String) {
-        out.push_str("beta ");
-        push_f64(out, self.beta());
-        out.push('\n');
-        push_floats_line(out, "alpha", self.alpha());
-        push_floats_line(out, "m", self.m().as_slice());
-    }
-
-    fn parse(lines: &mut LineReader<'_>, d: usize) -> Result<Self> {
-        let beta = lines.floats("beta", 1)?[0];
-        let alpha = lines.floats("alpha", d)?;
-        let m = lines.floats("m", d * d)?;
-        let m = Matrix::from_vec(d, d, m).map_err(|e| bad(format!("checkpointed m: {e}")))?;
-        Ok(QuadraticForm::new(m, alpha, beta))
-    }
-}
-
-impl CheckpointPartial for Polynomial {
-    const KIND: &'static str = "polynomial";
-
-    fn write(&self, out: &mut String) {
-        let n_terms = self.terms().count();
-        out.push_str(&format!("terms {n_terms}\n"));
-        for (phi, coeff) in self.terms() {
-            out.push_str("term ");
-            push_f64(out, coeff);
-            for &e in phi.exponents() {
-                out.push_str(&format!(" {e}"));
-            }
-            out.push('\n');
-        }
-    }
-
-    fn parse(lines: &mut LineReader<'_>, d: usize) -> Result<Self> {
-        let n_terms = lines.usize_field("terms")?;
-        let mut poly = Polynomial::zero(d);
-        for _ in 0..n_terms {
-            let toks = lines.tagged("term")?;
-            let mut toks = toks.split(' ');
-            let coeff = parse_f64_tok("term coefficient", toks.next())?;
-            let exps: Vec<u32> = toks
-                .map(|t| {
-                    t.parse::<u32>()
-                        .map_err(|_| bad(format!("unparseable exponent {t:?}")))
-                })
-                .collect::<Result<_>>()?;
-            if exps.len() != d {
-                return Err(bad(format!(
-                    "term has {} exponents, checkpoint says d = {d}",
-                    exps.len()
-                )));
-            }
-            poly.add_term(Monomial::new(exps), coeff);
-        }
-        Ok(poly)
-    }
-}
-
-/// Shortest-round-trip float formatting (bit-exact on reparse, the same
-/// regime `persist::SavedModel` relies on).
-fn push_f64(out: &mut String, v: f64) {
-    out.push_str(&format!("{v}"));
-}
-
-fn push_floats_line(out: &mut String, tag: &str, vals: &[f64]) {
-    out.push_str(tag);
-    for &v in vals {
-        out.push(' ');
-        push_f64(out, v);
-    }
-    out.push('\n');
-}
-
-fn parse_f64_tok(what: &str, tok: Option<&str>) -> Result<f64> {
-    let tok = tok.ok_or_else(|| bad(format!("missing {what}")))?;
-    let v: f64 = tok
-        .parse()
-        .map_err(|_| bad(format!("unparseable {what} {tok:?}")))?;
-    if v.is_finite() {
-        Ok(v)
-    } else {
-        Err(bad(format!("{what} must be finite, got {tok}")))
-    }
-}
-
-/// Sequential tagged-line reader over the checkpoint body.
-pub(crate) struct LineReader<'a> {
-    lines: std::str::Lines<'a>,
-}
-
-impl<'a> LineReader<'a> {
-    fn next_line(&mut self) -> Result<&'a str> {
-        self.lines
-            .next()
-            .ok_or_else(|| bad("truncated checkpoint body"))
-    }
-
-    /// Consumes the next line, requiring tag `tag`; returns the rest.
-    fn tagged(&mut self, tag: &str) -> Result<&'a str> {
-        let line = self.next_line()?;
-        match line.strip_prefix(tag) {
-            Some("") => Ok(""),
-            Some(rest) if rest.starts_with(' ') => Ok(&rest[1..]),
-            _ => Err(bad(format!(
-                "expected `{tag} …`, found {line:?} (unknown or out-of-order key)"
-            ))),
-        }
-    }
-
-    fn usize_field(&mut self, tag: &str) -> Result<usize> {
-        let rest = self.tagged(tag)?;
-        rest.parse::<usize>()
-            .map_err(|_| bad(format!("unparseable {tag} {rest:?}")))
-    }
-
-    /// Consumes a `tag v0 v1 …` line carrying exactly `n` finite floats.
-    fn floats(&mut self, tag: &str, n: usize) -> Result<Vec<f64>> {
-        let rest = self.tagged(tag)?;
-        let vals: Vec<f64> = rest
-            .split(' ')
-            .filter(|t| !t.is_empty())
-            .map(|t| parse_f64_tok(tag, Some(t)))
-            .collect::<Result<_>>()?;
-        if vals.len() != n {
-            return Err(bad(format!(
-                "{tag}: expected {n} values, found {}",
-                vals.len()
-            )));
-        }
-        Ok(vals)
-    }
-}
-
 /// Serializes an accumulator core (plus an optional WAL reservation id)
 /// to the versioned, checksummed text format.
-pub(crate) fn write_core<T: CheckpointPartial>(
-    core: &StreamCore<T>,
+pub(crate) fn write_core<C: Coefficients>(
+    core: &StreamCore<C>,
     reservation: Option<u64>,
 ) -> String {
     let mut out = String::new();
     out.push_str(CHECKPOINT_MAGIC);
     out.push('\n');
-    out.push_str(&format!("kind {}\n", T::KIND));
+    out.push_str(&format!("kind {}\n", C::KIND));
     out.push_str(&format!("d {}\n", core.dim()));
     out.push_str(&format!("chunk_rows {}\n", core.chunk_rows()));
     out.push_str(&format!("rows {}\n", core.rows()));
@@ -233,16 +84,8 @@ pub(crate) fn write_core<T: CheckpointPartial>(
         out.push_str(&format!("reservation {id}\n"));
     }
     let (xs, ys) = core.staged();
-    out.push_str(&format!("staged {}\n", ys.len()));
-    push_floats_line(&mut out, "stage_ys", ys);
-    push_floats_line(&mut out, "stage_xs", xs);
-    let stack = core.partials();
-    out.push_str(&format!("partials {}\n", stack.len()));
-    for (rank, part) in stack {
-        out.push_str(&format!("partial {rank}\n"));
-        part.write(&mut out);
-    }
-    out.push_str(&format!("checksum {:016x}\n", checksum64(out.as_bytes())));
+    codec::push_state(&mut out, xs, ys, "partial", core.partials());
+    codec::seal(&mut out);
     out
 }
 
@@ -251,112 +94,51 @@ pub(crate) fn write_core<T: CheckpointPartial>(
 /// Refuses version mismatches, kind mismatches, checksum failures (any
 /// truncation or corruption), and structural violations (shapes, counter
 /// rank ordering, row accounting).
-pub(crate) fn parse_core<T: CheckpointPartial>(text: &str) -> Result<(StreamCore<T>, Option<u64>)> {
-    // The checksum line closes over every byte before it.
-    let body_end = text
-        .rfind("checksum ")
-        .ok_or_else(|| bad("missing checksum line (truncated checkpoint?)"))?;
-    let (body, sum_line) = text.split_at(body_end);
-    let sum_hex = sum_line
-        .strip_prefix("checksum ")
-        .expect("split at match")
-        .trim_end_matches('\n');
-    let expected = u64::from_str_radix(sum_hex, 16)
-        .map_err(|_| bad(format!("unparseable checksum {sum_hex:?}")))?;
-    if checksum64(body.as_bytes()) != expected || sum_hex.len() != 16 {
-        return Err(bad("checksum mismatch: checkpoint is corrupt or truncated"));
-    }
-
-    let mut lines = LineReader {
-        lines: body.lines(),
-    };
+pub(crate) fn parse_core<C: Coefficients>(text: &str) -> Result<(StreamCore<C>, Option<u64>)> {
+    let mut lines = LineReader::new(codec::unseal(text)?);
     let magic = lines.next_line()?;
     if magic != CHECKPOINT_MAGIC {
-        return Err(bad(format!(
-            "unsupported checkpoint format {magic:?} (expected {CHECKPOINT_MAGIC:?})"
-        )));
+        return Err(lines
+            .error(format!(
+                "unsupported checkpoint format {magic:?} (expected {CHECKPOINT_MAGIC:?})"
+            ))
+            .into());
     }
     let kind = lines.tagged("kind")?;
-    if kind != T::KIND {
-        return Err(bad(format!(
-            "checkpoint holds a {kind} accumulator, expected {}",
-            T::KIND
-        )));
+    if kind != C::KIND {
+        return Err(lines
+            .error(format!(
+                "checkpoint holds a {kind} accumulator, expected {}",
+                C::KIND
+            ))
+            .into());
     }
-    let d = lines.usize_field("d")?;
+    let d: usize = lines.field("d")?;
     if d == 0 {
-        return Err(bad("checkpointed d must be ≥ 1"));
+        return Err(lines.error("checkpointed d must be ≥ 1").into());
     }
-    let chunk_rows = lines.usize_field("chunk_rows")?;
+    let chunk_rows: usize = lines.field("chunk_rows")?;
     if chunk_rows == 0 {
-        return Err(bad("checkpointed chunk_rows must be ≥ 1"));
+        return Err(lines.error("checkpointed chunk_rows must be ≥ 1").into());
     }
-    let rows = lines.usize_field("rows")?;
-
-    // Peek for the optional reservation line.
-    let mut rest = lines.lines.clone();
-    let reservation = match rest.next() {
-        Some(line) if line.starts_with("reservation ") => {
-            lines.lines = rest;
-            let id = line["reservation ".len()..]
-                .parse::<u64>()
-                .map_err(|_| bad("unparseable reservation id"))?;
-            Some(id)
-        }
-        _ => None,
-    };
-
-    let staged = lines.usize_field("staged")?;
-    if staged >= chunk_rows {
-        return Err(bad(format!(
-            "{staged} staged rows cannot fit a {chunk_rows}-row chunk mid-fill"
-        )));
+    let rows: usize = lines.field("rows")?;
+    let reservation = lines.optional_field("reservation")?;
+    let (stage_xs, stage_ys) = lines.staged(d, chunk_rows)?;
+    // The counter stack starts at chunk 0 with ranks strictly decreasing
+    // bottom → top, so every run is aligned by construction.
+    let (stack, chunks) = lines.runs::<C>("partial", d, 0)?;
+    lines.end("last partial")?;
+    if let Some(w) = stack.windows(2).find(|w| w[1].0 >= w[0].0) {
+        return Err(FmError::Checkpoint {
+            reason: format!(
+                "counter ranks must strictly decrease (…, {}, {})",
+                w[0].0, w[1].0
+            ),
+        });
     }
-    let stage_ys = lines.floats("stage_ys", staged)?;
-    let stage_xs = lines.floats("stage_xs", staged * d)?;
-
-    let n_partials = lines.usize_field("partials")?;
-    let mut stack: Vec<(u32, T)> = Vec::with_capacity(n_partials);
-    for _ in 0..n_partials {
-        let rank_tok = lines.tagged("partial")?;
-        let rank: u32 = rank_tok
-            .parse()
-            .map_err(|_| bad(format!("unparseable partial rank {rank_tok:?}")))?;
-        if let Some(&(prev, _)) = stack.last() {
-            if rank >= prev {
-                return Err(bad(format!(
-                    "counter ranks must strictly decrease (…, {prev}, {rank})"
-                )));
-            }
-        }
-        let part = T::parse(&mut lines, d)?;
-        stack.push((rank, part));
-    }
-    if lines.lines.next().is_some() {
-        return Err(bad("trailing content after the last partial"));
-    }
-
     // Row accounting must be exact: mid-fit, every flushed chunk holds
-    // exactly `chunk_rows` rows (the ragged tail only flushes at finish),
-    // and the counter stack holds runs of 2^rank chunks.
-    let chunks_in_stack: usize = stack
-        .iter()
-        .try_fold(0usize, |acc, &(r, _)| {
-            if r >= usize::BITS {
-                return None;
-            }
-            acc.checked_add(1usize << r)
-        })
-        .ok_or_else(|| bad("counter ranks overflow the addressable chunk count"))?;
-    let expected_rows = chunks_in_stack
-        .checked_mul(chunk_rows)
-        .and_then(|v| v.checked_add(staged));
-    if expected_rows != Some(rows) {
-        return Err(bad(format!(
-            "row count {rows} inconsistent with {chunks_in_stack} chunks of \
-             {chunk_rows} rows plus {staged} staged"
-        )));
-    }
+    // exactly `chunk_rows` rows (the ragged tail only flushes at finish).
+    codec::check_rows(rows, chunks, chunk_rows, stage_ys.len())?;
 
     Ok((
         StreamCore::restore(d, chunk_rows, rows, stage_xs, stage_ys, stack),
@@ -367,6 +149,7 @@ pub(crate) fn parse_core<T: CheckpointPartial>(text: &str) -> Result<(StreamCore
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fm_poly::{Polynomial, QuadraticForm};
 
     fn roundtrip_quadratic(core: &StreamCore<QuadraticForm>, reservation: Option<u64>) {
         let text = write_core(core, reservation);
@@ -391,22 +174,10 @@ mod tests {
             .map(|i| ((i as f64) * 0.37).sin() * 0.1)
             .collect();
         let ys: Vec<f64> = (0..rows).map(|i| ((i as f64) * 0.11).cos()).collect();
-        core.push_rows(
-            &xs,
-            &ys,
-            |_, _, _| Ok(()),
-            |cx, cy, d| {
-                let mut q = QuadraticForm::zero(d);
-                crate::linreg::LinearObjective.accumulate_batch(cx, cy, d, &mut q);
-                q
-            },
-            &|a: &mut QuadraticForm, b| a.merge(b),
-        )
-        .unwrap();
+        core.push_rows(&crate::linreg::LinearObjective, &xs, &ys)
+            .unwrap();
         core
     }
-
-    use crate::mechanism::PolynomialObjective as _;
 
     #[test]
     fn quadratic_core_round_trips_bitwise() {
@@ -446,27 +217,8 @@ mod tests {
         let mut core: StreamCore<Polynomial> = StreamCore::new(d, 4);
         let xs: Vec<f64> = (0..10 * d).map(|i| (i as f64) * 0.01).collect();
         let ys: Vec<f64> = (0..10).map(|i| (i as f64) * 0.1).collect();
-        core.push_rows(
-            &xs,
-            &ys,
-            |_, _, _| Ok(()),
-            |cx, cy, d| {
-                let mut f = Polynomial::zero(d);
-                for (row, &y) in cx.chunks_exact(d).zip(cy) {
-                    // A toy degree-2 objective: (y - x·1)² expanded.
-                    let s: f64 = row.iter().sum();
-                    f.add_term(Monomial::new(vec![0; d]), y * y - 2.0 * y * s + s * s);
-                    for j in 0..d {
-                        let mut e = vec![0; d];
-                        e[j] = 1;
-                        f.add_term(Monomial::new(e), row[j]);
-                    }
-                }
-                f
-            },
-            &|a, b| a.add_assign(&b),
-        )
-        .unwrap();
+        core.push_rows(&crate::generic::QuarticObjective, &xs, &ys)
+            .unwrap();
         let text = write_core(&core, None);
         let (restored, res) = parse_core::<Polynomial>(&text).unwrap();
         assert_eq!(res, None);
@@ -481,6 +233,25 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_errors_carry_positions() {
+        let text = write_core(&populated_core(21, 3, 8), None);
+        // A checkpoint missing only its final newline is torn, and the
+        // refusal names the byte count that arrived…
+        let err = parse_core::<QuadraticForm>(&text[..text.len() - 1])
+            .err()
+            .expect("torn checkpoint accepted");
+        assert!(err.to_string().contains("byte"), "{err}");
+        // …and a malformed field names its body line (`rows` is line 5).
+        let body_end = text.rfind("checksum ").unwrap();
+        let mut forged = text[..body_end].replace("rows 21", "rows nonsense");
+        codec::seal(&mut forged);
+        let err = parse_core::<QuadraticForm>(&forged)
+            .err()
+            .expect("malformed row count accepted");
+        assert!(err.to_string().contains("line 5"), "{err}");
+    }
+
+    #[test]
     fn row_accounting_violations_are_refused() {
         let text = write_core(&populated_core(21, 3, 8), None);
         // Forge a higher row count and re-checksum: structurally valid,
@@ -489,7 +260,7 @@ mod tests {
         let forged_body = text[..body_end].replace("rows 21", "rows 2100");
         let forged = format!(
             "{forged_body}checksum {:016x}\n",
-            checksum64(forged_body.as_bytes())
+            codec::checksum64(forged_body.as_bytes())
         );
         assert!(parse_core::<QuadraticForm>(&forged).is_err());
     }

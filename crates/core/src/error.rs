@@ -101,3 +101,11 @@ impl From<fm_linalg::LinalgError> for FmError {
         FmError::Linalg(e)
     }
 }
+
+/// Checkpoint parsing is the crate's only decoder of
+/// [`crate::codec`] frames.
+impl From<crate::codec::CodecError> for FmError {
+    fn from(e: crate::codec::CodecError) -> Self {
+        FmError::Checkpoint { reason: e.0 }
+    }
+}

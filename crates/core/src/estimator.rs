@@ -5,8 +5,10 @@
 //! module makes the code match that shape. A [`FitConfig`] owns the knobs
 //! every fit shares (ε, sensitivity bound, §6 strategy, intercept, noise
 //! distribution), a [`RegressionObjective`] ties a
-//! [`PolynomialObjective`] to the model family it releases, and
-//! [`FmEstimator`] runs the one shared pipeline:
+//! [`PolynomialObjective`] to the model family it releases (a
+//! [`crate::sparse::SparseRegressionObjective`] does the same for a
+//! general-degree objective), and [`FmEstimator`] runs the one shared
+//! pipeline, generic over the [`Coefficients`] type:
 //!
 //! 1. optionally augment the data for an intercept (footnote 2);
 //! 2. run Algorithm 1 — assemble, perturb with calibrated noise;
@@ -15,15 +17,18 @@
 //!
 //! `linreg`, `logreg` and `poisson` are thin instantiations of this core
 //! (a type alias for linear; two-field wrappers for the families whose
-//! surrogate construction can fail), so a new objective — median
-//! regression, the quartic demo, a user loss — plugs in as one
-//! `RegressionObjective` impl instead of a ~700-line copied stack.
+//! surrogate construction can fail), and so is the quartic demo
+//! ([`crate::sparse::SparseFmEstimator`]). A new objective — median
+//! regression, a user loss — plugs in as one `RegressionObjective` impl
+//! instead of a ~700-line copied stack.
 //!
 //! The [`DpEstimator`] trait is the dyn-compatible face of all of this:
 //! private estimators *and* the `fm-baselines` comparators implement it,
 //! so harness code (cross-validation, method line-ups, the
 //! [`crate::session::PrivacySession`] ledger) runs over `&dyn DpEstimator`
 //! without knowing which method it is driving.
+
+use std::marker::PhantomData;
 
 use rand::{Rng, RngCore};
 
@@ -32,9 +37,8 @@ use fm_data::{DataError, Dataset};
 use fm_poly::QuadraticForm;
 
 use crate::assembly::CoefficientAccumulator;
-use crate::mechanism::{
-    FunctionalMechanism, NoiseDistribution, PolynomialObjective, SensitivityBound,
-};
+use crate::coefficients::{Coefficients, Objective};
+use crate::mechanism::{NoiseDistribution, PolynomialObjective, SensitivityBound};
 use crate::model::{ModelKind, PersistableModel};
 use crate::postprocess::{self, Strategy};
 use crate::{FmError, Result};
@@ -226,9 +230,8 @@ pub trait DpEstimator {
 /// objective type it does not know. Dyn-compatible, so a worker pool can
 /// hold `&dyn FitProgress` across heterogeneous jobs.
 ///
-/// Implemented by [`PartialFit`] and
-/// [`crate::sparse::SparsePartialFit`]; the inherent methods on those
-/// types behave identically.
+/// Implemented by [`PartialFit`] for both coefficient types; the inherent
+/// methods behave identically.
 pub trait FitProgress {
     /// Total rows absorbed so far.
     fn rows(&self) -> usize;
@@ -255,8 +258,11 @@ pub trait RegressionObjective: PolynomialObjective {
 }
 
 /// The one generic Functional-Mechanism estimator: Algorithm 1 (and its
-/// Algorithm-2 surrogate instantiations) over any
-/// [`RegressionObjective`], configured by a shared [`FitConfig`].
+/// Algorithm-2 surrogate instantiations) over any objective, configured by
+/// a shared [`FitConfig`], for either coefficient type —
+/// [`QuadraticForm`] (the default: every [`RegressionObjective`]) or
+/// [`fm_poly::Polynomial`] ([`crate::sparse::SparseFmEstimator`], every
+/// [`crate::sparse::SparseRegressionObjective`]).
 ///
 /// `DpLinearRegression` is exactly `FmEstimator<LinearObjective>`;
 /// the logistic and Poisson front-ends are two-field wrappers that build
@@ -275,16 +281,21 @@ pub trait RegressionObjective: PolynomialObjective {
 /// assert_eq!(model.epsilon(), Some(0.8));
 /// ```
 #[derive(Debug, Clone)]
-pub struct FmEstimator<O> {
+pub struct FmEstimator<O, C = QuadraticForm> {
     objective: O,
     config: FitConfig,
+    coefficients: PhantomData<fn() -> C>,
 }
 
-impl<O: RegressionObjective> FmEstimator<O> {
+impl<O: Objective<C>, C: Coefficients> FmEstimator<O, C> {
     /// Wraps an objective with a fit configuration.
     #[must_use]
     pub fn new(objective: O, config: FitConfig) -> Self {
-        FmEstimator { objective, config }
+        FmEstimator {
+            objective,
+            config,
+            coefficients: PhantomData,
+        }
     }
 
     /// The shared fit configuration.
@@ -310,31 +321,18 @@ impl<O: RegressionObjective> FmEstimator<O> {
     ///
     /// # Errors
     /// * [`FmError::Data`] for contract violations.
-    /// * [`FmError::InvalidConfig`] for a bad ε/δ or zero resample attempts.
+    /// * [`FmError::InvalidConfig`] for a bad ε/δ, Resample with Gaussian
+    ///   noise (refused before the data is read), zero resample attempts,
+    ///   or a noise distribution the objective cannot calibrate.
     /// * [`FmError::ResampleExhausted`] / [`FmError::EmptySpectrum`] /
     ///   [`FmError::Optim`] when the configured strategy cannot produce a
     ///   bounded objective.
     pub fn fit(&self, data: &Dataset, rng: &mut impl Rng) -> Result<O::Model> {
-        let work: &Dataset = if self.config.fit_intercept {
-            // Footnote 2: fit d+1 weights on the √2-scaled augmented data,
-            // then map back to (ω, b). The augmented dataset's contract is
-            // implied by the original's. The cached instance is shared by
-            // every intercept fit on `data`, so repeat fits reuse one
-            // augmentation and unlock its columnar assembly kernels.
-            data.augmented_for_intercept_cached()
-        } else {
-            data
-        };
-        let omega_raw = fit_with_mechanism_noise(
-            work,
-            &self.objective,
-            self.config.epsilon,
-            self.config.bound,
-            self.config.noise,
-            self.config.strategy,
-            rng,
-        )?;
-        Ok(self.finish(omega_raw, Some(self.config.epsilon)))
+        self.check_noise()?;
+        let work = self.working_data(data);
+        self.objective.check_data(work)?;
+        let clean = self.objective.assemble_data(work);
+        self.release_clean(&clean, rng)
     }
 
     /// Fits a private model from a streaming [`RowSource`] — Algorithm 1
@@ -371,9 +369,11 @@ impl<O: RegressionObjective> FmEstimator<O> {
     /// [`PartialFit::finalize`]. One mechanism invocation total — the
     /// privacy cost is the estimator's configured ε once, not per shard —
     /// and the released coefficients are bit-identical to a single
-    /// [`FmEstimator::fit`] over the shard concatenation.
+    /// [`FmEstimator::fit`] over the shard concatenation. A configuration
+    /// the release would refuse (Resample with Gaussian noise) is refused
+    /// by the first `absorb`/`push_block`, before any row is read.
     #[must_use]
-    pub fn partial_fit(&self) -> PartialFit<'_, O> {
+    pub fn partial_fit(&self) -> PartialFit<'_, O, C> {
         PartialFit {
             estimator: self,
             acc: None,
@@ -396,7 +396,7 @@ impl<O: RegressionObjective> FmEstimator<O> {
     /// # Errors
     /// [`FmError::Checkpoint`] for corruption/truncation, version/kind
     /// mismatches, or structural violations in the snapshot.
-    pub fn resume_partial_fit(&self, snapshot: &str) -> Result<PartialFit<'_, O>> {
+    pub fn resume_partial_fit(&self, snapshot: &str) -> Result<PartialFit<'_, O, C>> {
         let (acc, reservation) = CoefficientAccumulator::resume(&self.objective, snapshot)?;
         Ok(PartialFit {
             estimator: self,
@@ -434,27 +434,32 @@ impl<O: RegressionObjective> FmEstimator<O> {
     where
         S: RowSource + Send,
     {
+        self.check_noise()?;
         crate::assembly::check_shard_dims(shards)?;
-        let mut clean: Option<QuadraticForm> = None;
-        for (_, part) in self.assemble_shards_clean(shards)? {
-            if let Some(part) = part {
-                match &mut clean {
-                    None => clean = Some(part),
-                    Some(total) => total.merge(part),
-                }
-            }
-        }
-        let clean = clean.ok_or(FmError::Data(DataError::EmptyDataset))?;
+        let clean = self
+            .assemble_shards_clean(shards)?
+            .into_iter()
+            .filter_map(|(_, part)| part)
+            .reduce(|mut total, part| {
+                total.merge(part);
+                total
+            })
+            .ok_or(FmError::Data(DataError::EmptyDataset))?;
         self.release_clean(&clean, rng)
     }
 
     /// Runs the mechanism over already-assembled (and already-validated)
     /// clean coefficients and wraps the released weights — the noise-
-    /// drawing half shared by [`FmEstimator::fit_sharded`], the
-    /// session's parallel disjoint-shard fitting (where assembly runs
-    /// concurrently but every release draws from the shared rng in shard
-    /// order), and a federated coordinator's central-noise release over
-    /// merged client partials.
+    /// drawing half shared by every entry point: [`FmEstimator::fit`],
+    /// [`PartialFit::finalize`], the session's parallel disjoint-shard
+    /// fitting (where assembly runs concurrently but every release draws
+    /// from the shared rng in shard order), and a federated coordinator's
+    /// central-noise release over merged client partials.
+    ///
+    /// Under [`Strategy::Resample`] this is the Lemma-5 loop: each attempt
+    /// re-perturbs the *same* clean coefficients at ε/2 (repetition costs
+    /// 2× the per-run budget) until the §6 solve succeeds, redrawing only
+    /// after the failures [`Objective::resamples_after`] names.
     ///
     /// The caller owns the precondition that `clean` is the exact
     /// Algorithm-1 coefficient sum over contract-satisfying tuples at
@@ -466,37 +471,48 @@ impl<O: RegressionObjective> FmEstimator<O> {
     /// As [`FmEstimator::fit`] past assembly: invalid configuration, an
     /// unbounded noisy objective per the configured strategy, or solver
     /// failure.
-    pub fn release_clean(&self, clean: &QuadraticForm, rng: &mut impl Rng) -> Result<O::Model> {
-        let config = &self.config;
-        let omega_raw = release_assembled(
-            clean,
-            &self.objective,
-            config.epsilon,
-            config.bound,
-            config.noise,
-            config.strategy,
-            rng,
-        )?;
-        Ok(self.finish(omega_raw, Some(config.epsilon)))
+    pub fn release_clean(&self, clean: &C, rng: &mut impl Rng) -> Result<O::Model> {
+        let omega_raw = self.release(clean, rng)?;
+        Ok(self.finish(omega_raw, Some(self.config.epsilon)))
     }
 
-    /// Post-processes an **already-perturbed** objective into a released
-    /// model: §6 boundedness handling under the configured strategy, then
-    /// the intercept un-augmentation — the release half a federated
-    /// coordinator runs in local-noise mode, where the noise was drawn on
-    /// the clients and `noisy` is their aggregated upload
-    /// ([`crate::mechanism::NoisyQuadratic::from_federated_sum`]). Draws **no** noise and
-    /// spends no further budget: everything here is post-processing of
-    /// `noisy`.
-    ///
-    /// # Errors
-    /// * [`FmError::InvalidConfig`] under [`Strategy::Resample`] — Lemma 5
-    ///   re-runs the mechanism, which only the noise-drawing entry points
-    ///   ([`FmEstimator::fit`], [`FmEstimator::release_clean`]) can do.
-    /// * Otherwise as [`crate::postprocess::solve`].
-    pub fn release_noisy(&self, noisy: crate::NoisyQuadratic) -> Result<O::Model> {
-        let omega_raw = crate::postprocess::solve(noisy, self.config.strategy)?;
-        Ok(self.finish(omega_raw, Some(self.config.epsilon)))
+    /// Draws the noise over `clean` and solves, per the configured
+    /// strategy; the raw weights of [`FmEstimator::release_clean`].
+    fn release(&self, clean: &C, rng: &mut impl Rng) -> Result<Vec<f64>> {
+        let FitConfig {
+            epsilon,
+            bound,
+            noise,
+            strategy,
+            ..
+        } = self.config;
+        let Strategy::Resample { max_attempts } = strategy else {
+            let noisy = self.objective.perturb(clean, epsilon, bound, noise, rng)?;
+            return O::solve(noisy, strategy);
+        };
+        if max_attempts == 0 {
+            return Err(FmError::InvalidConfig {
+                name: "max_attempts",
+                reason: "must be at least 1".to_string(),
+            });
+        }
+        self.check_noise()?;
+        for _ in 0..max_attempts {
+            let noisy = self.objective.perturb(
+                clean,
+                epsilon / 2.0,
+                bound,
+                NoiseDistribution::Laplace,
+                rng,
+            )?;
+            match O::solve(noisy, Strategy::FailIfUnbounded) {
+                Err(e) if O::resamples_after(&e) => continue,
+                result => return result,
+            }
+        }
+        Err(FmError::ResampleExhausted {
+            attempts: max_attempts,
+        })
     }
 
     /// Per-shard clean coefficient assembly at the estimator's working
@@ -507,7 +523,7 @@ impl<O: RegressionObjective> FmEstimator<O> {
     pub(crate) fn assemble_shards_clean<S>(
         &self,
         shards: &mut [S],
-    ) -> Result<Vec<(usize, Option<QuadraticForm>)>>
+    ) -> Result<Vec<(usize, Option<C>)>>
     where
         S: RowSource + Send,
     {
@@ -529,18 +545,44 @@ impl<O: RegressionObjective> FmEstimator<O> {
     ///
     /// # Errors
     /// [`FmError::Data`] on contract violation, [`FmError::Optim`] on a
-    /// degenerate (rank-deficient) quadratic.
+    /// degenerate (rank-deficient) quadratic or a general-degree objective
+    /// unbounded within the divergence radius.
     pub fn fit_without_privacy(&self, data: &Dataset) -> Result<O::Model> {
-        let work: &Dataset = if self.config.fit_intercept {
+        let work = self.working_data(data);
+        self.objective.check_data(work)?;
+        let clean = self.objective.assemble_data(work);
+        Ok(self.finish(O::minimize_clean(&clean)?, None))
+    }
+
+    /// The data the objective is fitted on: `data` itself, or under
+    /// footnote 2 the √2-scaled augmentation with d+1 weights (its
+    /// contract is implied by the original's). The cached instance is
+    /// shared by every intercept fit on `data`, so repeat fits reuse one
+    /// augmentation and unlock its columnar assembly kernels.
+    fn working_data<'d>(&self, data: &'d Dataset) -> &'d Dataset {
+        if self.config.fit_intercept {
             data.augmented_for_intercept_cached()
         } else {
             data
-        };
-        self.objective.validate(work)?;
-        let q = self.objective.assemble(work);
-        let omega_raw =
-            fm_optim::quadratic::minimize_quadratic(q.m(), q.alpha()).map_err(FmError::from)?;
-        Ok(self.finish(omega_raw, None))
+        }
+    }
+
+    /// The noise/strategy compatibility guard every entry point runs
+    /// before reading data: Lemma 5's conditioning argument is specific
+    /// to pure ε-DP — re-running an (ε, δ) mechanism until success does
+    /// not compose to a clean (2ε, δ′) guarantee — so Resample with
+    /// Gaussian noise is refused rather than advertised with an unsound
+    /// budget.
+    fn check_noise(&self) -> Result<()> {
+        if !matches!(self.config.noise, NoiseDistribution::Laplace)
+            && matches!(self.config.strategy, Strategy::Resample { .. })
+        {
+            return Err(FmError::InvalidConfig {
+                name: "strategy",
+                reason: "Resample (Lemma 5) is only sound with Laplace noise".to_string(),
+            });
+        }
+        Ok(())
     }
 
     /// Wraps released weights in the family's model type, undoing the
@@ -555,19 +597,40 @@ impl<O: RegressionObjective> FmEstimator<O> {
     }
 }
 
+impl<O: RegressionObjective> FmEstimator<O> {
+    /// Post-processes an **already-perturbed** objective into a released
+    /// model: §6 boundedness handling under the configured strategy, then
+    /// the intercept un-augmentation — the release half a federated
+    /// coordinator runs in local-noise mode, where the noise was drawn on
+    /// the clients and `noisy` is their aggregated upload
+    /// ([`crate::mechanism::NoisyQuadratic::from_federated_sum`]). Draws **no** noise and
+    /// spends no further budget: everything here is post-processing of
+    /// `noisy`.
+    ///
+    /// # Errors
+    /// * [`FmError::InvalidConfig`] under [`Strategy::Resample`] — Lemma 5
+    ///   re-runs the mechanism, which only the noise-drawing entry points
+    ///   ([`FmEstimator::fit`], [`FmEstimator::release_clean`]) can do.
+    /// * Otherwise as [`crate::postprocess::solve`].
+    pub fn release_noisy(&self, noisy: crate::NoisyQuadratic) -> Result<O::Model> {
+        let omega_raw = postprocess::solve(noisy, self.config.strategy)?;
+        Ok(self.finish(omega_raw, Some(self.config.epsilon)))
+    }
+}
+
 /// An in-progress shard-at-a-time fit (see [`FmEstimator::partial_fit`]):
 /// owns the streaming [`CoefficientAccumulator`] plus the estimator's
 /// configuration, applies the footnote-2 intercept augmentation to every
 /// incoming block when configured, and draws the mechanism's noise exactly
 /// once at [`PartialFit::finalize`].
-pub struct PartialFit<'a, O: RegressionObjective> {
-    estimator: &'a FmEstimator<O>,
-    acc: Option<CoefficientAccumulator<'a, O>>,
+pub struct PartialFit<'a, O, C = QuadraticForm> {
+    estimator: &'a FmEstimator<O, C>,
+    acc: Option<CoefficientAccumulator<'a, O, C>>,
     chunk_rows: usize,
     reservation: Option<u64>,
 }
 
-impl<'a, O: RegressionObjective> PartialFit<'a, O> {
+impl<'a, O: Objective<C>, C: Coefficients> PartialFit<'a, O, C> {
     /// Overrides the accumulation chunk size — the out-of-core **memory
     /// cap**: peak staged memory is one `chunk_rows × d` block whatever
     /// the stream length. Must be set before any data is absorbed
@@ -594,8 +657,8 @@ impl<'a, O: RegressionObjective> PartialFit<'a, O> {
     /// The accumulator at working dimensionality `work_d` (the raw `d`,
     /// plus one under the intercept augmentation), created lazily from the
     /// first shard.
-    fn accumulator(&mut self, work_d: usize) -> Result<&mut CoefficientAccumulator<'a, O>> {
-        let estimator: &'a FmEstimator<O> = self.estimator;
+    fn accumulator(&mut self, work_d: usize) -> Result<&mut CoefficientAccumulator<'a, O, C>> {
+        let estimator: &'a FmEstimator<O, C> = self.estimator;
         let chunk_rows = self.chunk_rows;
         let acc = self.acc.get_or_insert_with(|| {
             CoefficientAccumulator::with_chunk_rows(&estimator.objective, work_d, chunk_rows)
@@ -615,9 +678,11 @@ impl<'a, O: RegressionObjective> PartialFit<'a, O> {
     /// Absorbs one shard (drains `source`); returns its row count.
     ///
     /// # Errors
-    /// [`FmError::Data`] for dimensionality mismatches across shards,
-    /// contract violations, or transport errors.
+    /// [`FmError::InvalidConfig`] for Resample with Gaussian noise (before
+    /// any row is read); [`FmError::Data`] for dimensionality mismatches
+    /// across shards, contract violations, or transport errors.
     pub fn absorb(&mut self, source: &mut (impl RowSource + ?Sized)) -> Result<usize> {
+        self.estimator.check_noise()?;
         if self.estimator.config.fit_intercept {
             let mut aug = InterceptAugmentSource::new(source);
             let work_d = aug.dim();
@@ -633,6 +698,7 @@ impl<'a, O: RegressionObjective> PartialFit<'a, O> {
     /// # Errors
     /// As [`PartialFit::absorb`].
     pub fn push_block(&mut self, block: &RowBlock) -> Result<()> {
+        self.estimator.check_noise()?;
         if self.estimator.config.fit_intercept {
             let aug = block.augment_for_intercept();
             self.accumulator(aug.d())?.push_block(&aug)
@@ -698,21 +764,11 @@ impl<'a, O: RegressionObjective> PartialFit<'a, O> {
             .filter(|a| a.rows() > 0)
             .and_then(CoefficientAccumulator::finish)
             .ok_or(FmError::Data(DataError::EmptyDataset))?;
-        let config = &estimator.config;
-        let omega_raw = release_assembled(
-            &clean,
-            &estimator.objective,
-            config.epsilon,
-            config.bound,
-            config.noise,
-            config.strategy,
-            rng,
-        )?;
-        Ok(estimator.finish(omega_raw, Some(config.epsilon)))
+        estimator.release_clean(&clean, rng)
     }
 }
 
-impl<O: RegressionObjective> FitProgress for PartialFit<'_, O> {
+impl<O: Objective<C>, C: Coefficients> FitProgress for PartialFit<'_, O, C> {
     fn rows(&self) -> usize {
         PartialFit::rows(self)
     }
@@ -726,7 +782,7 @@ impl<O: RegressionObjective> FitProgress for PartialFit<'_, O> {
     }
 }
 
-impl<O: RegressionObjective> DpEstimator for FmEstimator<O> {
+impl<O: Objective<C>, C: Coefficients> DpEstimator for FmEstimator<O, C> {
     type Model = O::Model;
 
     fn fit(&self, data: &Dataset, mut rng: &mut dyn RngCore) -> Result<O::Model> {
@@ -821,80 +877,6 @@ impl<F> EstimatorBuilder<F> {
     pub fn config(mut self, config: FitConfig) -> Self {
         self.config = config;
         self
-    }
-}
-
-/// Shared fit pipeline for all regression types: validate, assemble once,
-/// then run Algorithm 1 with the chosen noise distribution and resolve
-/// unboundedness per `strategy`.
-pub(crate) fn fit_with_mechanism_noise(
-    data: &Dataset,
-    objective: &impl PolynomialObjective,
-    epsilon: f64,
-    bound: SensitivityBound,
-    noise: NoiseDistribution,
-    strategy: Strategy,
-    rng: &mut impl Rng,
-) -> Result<Vec<f64>> {
-    objective.validate(data)?;
-    let clean = objective.assemble(data);
-    release_assembled(&clean, objective, epsilon, bound, noise, strategy, rng)
-}
-
-/// The post-assembly half of the fit pipeline, shared by the in-memory
-/// and streaming entry points: perturb the already-assembled (and
-/// already-validated) coefficients, then resolve unboundedness per
-/// `strategy`. The Lemma-5 resample loop re-perturbs the *same* clean
-/// coefficients per attempt — assembly is deterministic, so this draws
-/// the exact noise stream the pre-refactor per-attempt re-assembly drew,
-/// without re-scanning the data.
-pub(crate) fn release_assembled(
-    clean: &QuadraticForm,
-    objective: &impl PolynomialObjective,
-    epsilon: f64,
-    bound: SensitivityBound,
-    noise: NoiseDistribution,
-    strategy: Strategy,
-    rng: &mut impl Rng,
-) -> Result<Vec<f64>> {
-    match strategy {
-        Strategy::Resample { max_attempts } => {
-            if max_attempts == 0 {
-                return Err(FmError::InvalidConfig {
-                    name: "max_attempts",
-                    reason: "must be at least 1".to_string(),
-                });
-            }
-            if !matches!(noise, NoiseDistribution::Laplace) {
-                // Lemma 5's conditioning argument is specific to pure ε-DP;
-                // re-running an (ε, δ) mechanism until success does not
-                // compose to a clean (2ε, δ') guarantee, so we refuse rather
-                // than advertise an unsound budget.
-                return Err(FmError::InvalidConfig {
-                    name: "strategy",
-                    reason: "Resample (Lemma 5) is only sound with Laplace noise".to_string(),
-                });
-            }
-            // Lemma 5: repetition costs 2× the per-run budget, so run each
-            // attempt at ε/2 to honour the advertised total.
-            let fm = FunctionalMechanism::with_bound(epsilon / 2.0, bound)?;
-            for _ in 0..max_attempts {
-                let noisy = fm.perturb_assembled(clean, objective, rng)?;
-                match postprocess::minimize(&noisy) {
-                    Ok(omega) => return Ok(omega),
-                    Err(FmError::Optim(fm_optim::OptimError::UnboundedObjective)) => continue,
-                    Err(e) => return Err(e),
-                }
-            }
-            Err(FmError::ResampleExhausted {
-                attempts: max_attempts,
-            })
-        }
-        other => {
-            let fm = FunctionalMechanism::with_config(epsilon, bound, noise)?;
-            let noisy = fm.perturb_assembled(clean, objective, rng)?;
-            postprocess::solve(noisy, other)
-        }
     }
 }
 

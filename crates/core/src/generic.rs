@@ -26,13 +26,13 @@
 //!   unchanged).
 //!
 //! This module is the **mechanism level** of the general-degree story.
-//! Estimator-level code should use [`crate::sparse::SparseFmEstimator`],
-//! which runs [`GenericFunctionalMechanism`] through the same
-//! `FitConfig → Algorithm 1 → §6-style post-processing → Model` pipeline,
-//! `DpEstimator` surface and `PrivacySession` accounting as the degree-2
-//! families — driving `perturb`/`minimize` by hand (as the quartic example
-//! used to) is a deprecated pattern kept only for tests that pin the two
-//! paths equal.
+//! Estimator-level code should use [`crate::sparse::SparseFmEstimator`] —
+//! the one [`crate::estimator::FmEstimator`] pipeline over [`Polynomial`]
+//! coefficients, which streams, checkpoints and shards through the same
+//! [`crate::assembly::CoefficientAccumulator`] as the degree-2 families
+//! and draws its noise with [`GenericFunctionalMechanism`]. Driving
+//! `perturb`/`minimize` by hand (as the quartic example used to) is a
+//! deprecated pattern kept only for tests that pin the two paths equal.
 
 use rand::Rng;
 
@@ -108,8 +108,8 @@ pub trait GeneralObjective: Sync {
 
     /// Validates one streamed row-major block against the same contract —
     /// the general-degree counterpart of
-    /// [`crate::PolynomialObjective::validate_rows`], consumed by
-    /// [`PolynomialAccumulator`]. The default materializes the block and
+    /// [`crate::PolynomialObjective::validate_rows`], consumed by the
+    /// streaming [`crate::assembly::CoefficientAccumulator`]. The default materializes the block and
     /// delegates; the built-ins override with the allocation-free row
     /// checks.
     ///
@@ -327,7 +327,8 @@ impl GenericFunctionalMechanism {
     /// — the general-degree counterpart of
     /// [`crate::FunctionalMechanism::perturb_assembled`], used by the
     /// streaming sparse-estimator pipeline (the data was validated block
-    /// by block while a [`PolynomialAccumulator`] assembled it) and by
+    /// by block while a [`crate::assembly::CoefficientAccumulator`]
+    /// assembled it) and by
     /// the Lemma-5 resample loop to re-draw noise without re-scanning the
     /// data. The caller owns the precondition that `clean` really is the
     /// coefficient sum of a contract-satisfying dataset.
@@ -423,227 +424,6 @@ impl GenericFunctionalMechanism {
             noise_std,
         })
     }
-}
-
-/// The streaming counterpart of [`GeneralObjective::assemble`]: feed
-/// blocks, finish once — the general-degree sibling of
-/// [`crate::assembly::CoefficientAccumulator`], sharing its re-chunking
-/// stage and binary-counter merger, so a streamed sparse-polynomial
-/// objective is **bit-identical** to the in-memory chunked assembly for
-/// any block sizing or shard split.
-pub struct PolynomialAccumulator<'a, O: GeneralObjective + ?Sized> {
-    objective: &'a O,
-    core: crate::assembly::StreamCore<Polynomial>,
-}
-
-/// The same coefficient-wise merge [`GeneralObjective::assemble`] uses.
-fn merge_polynomial(acc: &mut Polynomial, part: Polynomial) {
-    acc.add_assign(&part);
-}
-
-impl<'a, O: GeneralObjective + ?Sized> PolynomialAccumulator<'a, O> {
-    /// An empty accumulator over `d` features at the default chunk size
-    /// (matching [`GeneralObjective::assemble`]'s chunking).
-    #[must_use]
-    pub fn new(objective: &'a O, d: usize) -> Self {
-        Self::with_chunk_rows(objective, d, crate::assembly::DEFAULT_CHUNK_ROWS)
-    }
-
-    /// An empty accumulator with an explicit chunk size — the out-of-core
-    /// memory cap; must match the in-memory path's chunking for
-    /// bit-identical results.
-    #[must_use]
-    pub fn with_chunk_rows(objective: &'a O, d: usize, chunk_rows: usize) -> Self {
-        PolynomialAccumulator {
-            objective,
-            core: crate::assembly::StreamCore::new(d, chunk_rows),
-        }
-    }
-
-    /// The feature dimensionality this accumulator expects.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.core.dim()
-    }
-
-    /// Total rows absorbed so far.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.core.rows()
-    }
-
-    /// The fixed chunk size this accumulator re-chunks to.
-    #[must_use]
-    pub fn chunk_rows(&self) -> usize {
-        self.core.chunk_rows()
-    }
-
-    /// Validates and absorbs a row-major block.
-    ///
-    /// # Errors
-    /// [`FmError::Data`] for shape mismatches or contract violations.
-    pub fn push_rows(&mut self, xs: &[f64], ys: &[f64]) -> Result<()> {
-        let objective = self.objective;
-        self.core
-            .push_rows(
-                xs,
-                ys,
-                |xs, ys, d| objective.validate_rows(xs, ys, d),
-                |cx, cy, d| {
-                    let mut f = Polynomial::zero(d);
-                    objective.accumulate_chunk(cx, cy, d, &mut f);
-                    f
-                },
-                &merge_polynomial,
-            )
-            .map_err(crate::FmError::Data)
-    }
-
-    /// Validates and absorbs one [`fm_data::stream::RowBlock`].
-    ///
-    /// # Errors
-    /// As [`PolynomialAccumulator::push_rows`], plus [`FmError::Data`]
-    /// when the block's dimensionality differs from the accumulator's.
-    pub fn push_block(&mut self, block: &fm_data::stream::RowBlock) -> Result<()> {
-        self.core.check_dim("block", block.d())?;
-        self.push_rows(block.xs(), block.ys())
-    }
-
-    /// Chunks fully absorbed so far on the fixed grid (staged partial
-    /// chunk excluded) — see `CoefficientAccumulator::chunks`.
-    #[must_use]
-    pub fn chunks(&self) -> usize {
-        self.core.chunks()
-    }
-
-    /// The merge counter's run stack, bottom → top — the general-degree
-    /// twin of `CoefficientAccumulator::partial_runs`.
-    #[must_use]
-    pub fn partial_runs(&self) -> &[(u32, Polynomial)] {
-        self.core.partials()
-    }
-
-    /// The staged rows of the current partial chunk `(xs, ys)`.
-    #[must_use]
-    pub fn staged(&self) -> (&[f64], &[f64]) {
-        self.core.staged()
-    }
-
-    /// Merges a pre-assembled partial covering a run of `2^rank`
-    /// consecutive chunks at the current grid position — the
-    /// general-degree twin of `CoefficientAccumulator::push_run`, with
-    /// the same alignment guarantees and refusals.
-    ///
-    /// # Errors
-    /// [`FmError::InvalidConfig`] for a variable-count mismatch, a run
-    /// pushed while rows are staged mid-chunk, an unaligned run, or
-    /// rank/row overflow.
-    pub fn push_run(&mut self, rank: u32, part: Polynomial) -> Result<()> {
-        if part.num_vars() != self.core.dim() {
-            return Err(crate::FmError::InvalidConfig {
-                name: "run",
-                reason: format!(
-                    "run partial has {} variables, accumulator expects {}",
-                    part.num_vars(),
-                    self.core.dim()
-                ),
-            });
-        }
-        self.core.push_run(rank, part, &merge_polynomial)
-    }
-
-    /// Drains `source`, absorbing every block; returns the rows absorbed.
-    /// Like the degree-2 accumulator, the bulk of the drain runs through
-    /// the borrowed-block visitor, so zero-copy sources feed the chunk
-    /// accumulation without per-block allocations.
-    ///
-    /// # Errors
-    /// [`FmError::Data`] for a dimensionality mismatch, transport errors,
-    /// or contract violations.
-    pub fn absorb(
-        &mut self,
-        source: &mut (impl fm_data::stream::RowSource + ?Sized),
-    ) -> Result<usize> {
-        let objective = self.objective;
-        // No columnar kernels at general degree: an in-memory handoff
-        // still chunks the dataset's row-major block in place.
-        type ColumnarChunk = fn(&fm_linalg::Matrix, &[f64], usize, usize) -> Polynomial;
-        let no_cols: Option<ColumnarChunk> = None;
-        self.core.absorb_source(
-            source,
-            |xs, ys, d| objective.validate_rows(xs, ys, d),
-            |cx, cy, d| {
-                let mut f = Polynomial::zero(d);
-                objective.accumulate_chunk(cx, cy, d, &mut f);
-                f
-            },
-            no_cols,
-            &merge_polynomial,
-        )
-    }
-
-    /// Serializes the accumulator's complete streaming state to the
-    /// versioned, checksummed `fm-checkpoint v1` text format (kind
-    /// `polynomial`), optionally tagged with a WAL reservation id — the
-    /// general-degree sibling of
-    /// [`crate::assembly::CoefficientAccumulator::checkpoint`], with the
-    /// same bit-identical-resume guarantee.
-    #[must_use]
-    pub fn checkpoint(&self, reservation: Option<u64>) -> String {
-        crate::checkpoint::write_core(&self.core, reservation)
-    }
-
-    /// Restores an accumulator (and the WAL reservation id it carried, if
-    /// any) from a [`PolynomialAccumulator::checkpoint`] snapshot.
-    ///
-    /// # Errors
-    /// [`FmError::Checkpoint`] for corruption/truncation, version or kind
-    /// mismatches, and structural violations.
-    pub fn resume(objective: &'a O, text: &str) -> Result<(Self, Option<u64>)> {
-        let (core, reservation) = crate::checkpoint::parse_core(text)?;
-        Ok((PolynomialAccumulator { objective, core }, reservation))
-    }
-
-    /// Flushes the final ragged chunk and merges all partials; `None` if
-    /// no rows were absorbed.
-    #[must_use]
-    pub fn finish(self) -> Option<Polynomial> {
-        let PolynomialAccumulator { objective, core } = self;
-        core.finish(
-            |cx, cy, d| {
-                let mut f = Polynomial::zero(d);
-                objective.accumulate_chunk(cx, cy, d, &mut f);
-                f
-            },
-            &merge_polynomial,
-        )
-    }
-}
-
-/// Per-shard streaming assembly of a general-degree objective — the
-/// sibling of [`crate::assembly::assemble_shards`] over sparse
-/// polynomials: one [`PolynomialAccumulator`] per shard, run concurrently
-/// under the `parallel` cargo feature, results returned in shard order
-/// (`None` for an empty shard). Per-shard accumulations are independent,
-/// so the serial and parallel builds are bit-identical.
-///
-/// # Errors
-/// The first shard error in shard order ([`FmError::Data`] for contract
-/// violations or transport errors).
-pub fn assemble_polynomial_shards<O, S>(
-    objective: &O,
-    shards: &mut [S],
-    chunk_rows: usize,
-) -> Result<Vec<(usize, Option<Polynomial>)>>
-where
-    O: GeneralObjective + ?Sized,
-    S: fm_data::stream::RowSource + Send,
-{
-    crate::assembly::run_shards(shards, |shard| {
-        let mut acc = PolynomialAccumulator::with_chunk_rows(objective, shard.dim(), chunk_rows);
-        let rows = acc.absorb(shard)?;
-        Ok((rows, acc.finish()))
-    })
 }
 
 /// The paper's linear regression expressed in the general form — used to

@@ -7,10 +7,14 @@
 //! * [`estimator`] — the **generic estimator core**: one
 //!   [`estimator::FmEstimator`] runs the shared fit pipeline (augment →
 //!   Algorithm 1 → §6 post-processing → model wrapping) for every
-//!   [`estimator::RegressionObjective`]; the dyn-compatible
+//!   objective, degree-2 and general-degree alike; the dyn-compatible
 //!   [`estimator::DpEstimator`] trait is the uniform face private
 //!   estimators and `fm-baselines` comparators share, configured by one
 //!   [`estimator::FitConfig`] instead of per-family builder clones.
+//! * [`coefficients`] — the two coefficient types the pipeline is generic
+//!   over ([`Coefficients`]: dense `QuadraticForm`, sparse `Polynomial`)
+//!   and the one [`Objective`] trait whose two blanket impls hold
+//!   everything that differs between them.
 //! * [`session`] — [`session::PrivacySession`]: budget-aware fitting that
 //!   debits every `fit` against a `fm_privacy` ledger and reports the
 //!   honest composed (ε, δ) — basic and advanced composition — for
@@ -48,10 +52,13 @@
 //!   Equation-2/3 mechanism over sparse polynomials, perturbing every
 //!   monomial in `Φ_0 ∪ … ∪ Φ_J` (structural zeros included), with a
 //!   worked quartic-loss objective showing the framework beyond degree 2.
-//! * [`sparse`] — the [`sparse::SparseFmEstimator`] front-end running the
-//!   general-degree mechanism through the same `FitConfig → Algorithm 1 →
-//!   §6-style post-processing → Model` pipeline, `DpEstimator` surface,
-//!   session accounting and persistence as the degree-2 families.
+//! * [`sparse`] — [`sparse::SparseFmEstimator`], the estimator over
+//!   general-degree objectives: the same `FmEstimator` pipeline,
+//!   `DpEstimator` surface, session accounting and persistence as the
+//!   degree-2 families, over `Polynomial` coefficients.
+//! * [`checkpoint`] and [`codec`] — the `fm-checkpoint v1` format for
+//!   resumable streaming fits, written with the one framed-line codec
+//!   `fm-federated`'s wire formats share.
 //! * [`persist`] — a dependency-free, bit-exact text format for shipping
 //!   released models (parameters + privacy metadata) out of the silo;
 //!   post-processing keeps the guarantee intact.
@@ -97,6 +104,8 @@
 
 pub mod assembly;
 pub mod checkpoint;
+pub mod codec;
+pub mod coefficients;
 pub mod estimator;
 pub mod generic;
 pub mod linreg;
@@ -113,6 +122,7 @@ pub mod sparse;
 mod error;
 
 pub use assembly::CoefficientAccumulator;
+pub use coefficients::{Coefficients, Objective};
 pub use error::FmError;
 pub use estimator::{
     DpEstimator, EstimatorBuilder, FitConfig, FitProgress, FmEstimator, PartialFit,

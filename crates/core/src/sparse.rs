@@ -1,28 +1,30 @@
-//! The [`SparsePolynomial`](fm_poly::SparsePolynomial)-backed estimator
-//! core: higher-degree losses through the **same** pipeline as everything
-//! else.
+//! Higher-degree losses through the **same** fit pipeline as everything
+//! else: [`SparseFmEstimator`] is [`FmEstimator`] over
+//! [`Polynomial`] coefficients.
 //!
-//! [`crate::generic`] implements Algorithm 1 at arbitrary degree, but
-//! until this module it was a *side path*: callers drove
-//! `GenericFunctionalMechanism::perturb` and `NoisyPolynomial::minimize`
-//! by hand, outside the `FitConfig` configuration surface, the
-//! [`DpEstimator`] line-up, [`crate::session::PrivacySession`] accounting
-//! and [`crate::persist::SavedModel`] persistence. [`SparseFmEstimator`]
-//! closes that gap: it is to [`GeneralObjective`] what
-//! [`crate::estimator::FmEstimator`] is to
-//! [`crate::PolynomialObjective`] — one shared fit pipeline
+//! [`crate::generic`] implements Algorithm 1 at arbitrary degree over the
+//! sparse [`Polynomial`] representation. A [`GeneralObjective`] that names
+//! its released model family ([`SparseRegressionObjective`]) runs through
+//! the one [`FmEstimator`] pipeline, configured by the same
+//! [`FitConfig`](crate::estimator::FitConfig),
+//! behind the same [`crate::estimator::DpEstimator`] surface, debitable
+//! through the same [`crate::session::PrivacySession`] and persistable as
+//! [`crate::persist::SavedModel`]:
 //!
 //! 1. optionally augment the data for an intercept (footnote 2);
 //! 2. run the general-degree Algorithm 1 (every monomial in
 //!    `Φ_0 ∪ … ∪ Φ_J` perturbed, structural zeros included);
-//! 3. resolve unboundedness per the configured §6 [`Strategy`] — ridge
+//! 3. resolve unboundedness per the configured §6
+//!    [`Strategy`](crate::Strategy) — ridge
 //!    regularization and the Lemma-5 resample loop carry over verbatim;
 //!    spectral trimming has no general-degree analogue and is replaced by
 //!    ridge escalation (see [`crate::postprocess::solve_polynomial`]);
 //! 4. wrap the released weights in the objective's model family.
 //!
-//! Two deliberate restrictions, both surfaced as loud errors instead of
-//! silent unsoundness:
+//! What differs from the degree-2 families is listed in one place, the
+//! `Objective<Polynomial>` impl in [`crate::coefficients`]. Two of those
+//! differences are deliberate restrictions, surfaced as loud errors
+//! instead of silent unsoundness:
 //!
 //! * **Gaussian noise needs a derived Δ₂.** The (ε, δ) Gaussian variant
 //!   calibrates to an L2 sensitivity; objectives that derive one via
@@ -30,30 +32,22 @@
 //!   through the Gaussian path exactly like the degree-2 estimators,
 //!   while objectives without a Δ₂ stay Laplace-only and Gaussian noise
 //!   is refused rather than guessed at. The Lemma-5 resample strategy is
-//!   refused with Gaussian noise for the same reason as in
-//!   [`crate::estimator::FmEstimator`]: its 2× budget accounting is only
-//!   proved for pure ε-DP.
+//!   refused with Gaussian noise, as for every family.
 //! * **One Δ₁ bound.** The §4 Cauchy–Schwarz refinement is specific to
 //!   the degree-2 objectives; the general trait declares a single L1
-//!   bound and [`FitConfig::bound`] is not consulted.
+//!   bound and [`FitConfig::bound`](crate::estimator::FitConfig::bound) is
+//!   not consulted.
 
-use rand::{Rng, RngCore};
+use fm_poly::Polynomial;
 
-use fm_data::Dataset;
+use crate::estimator::FmEstimator;
+use crate::generic::GeneralObjective;
+use crate::model::PersistableModel;
 
-use fm_data::stream::RowSource as _;
-
-use crate::estimator::{DpEstimator, FitConfig};
-use crate::generic::{GeneralObjective, GenericFunctionalMechanism, PolynomialAccumulator};
-use crate::mechanism::NoiseDistribution;
-use crate::model::{ModelKind, PersistableModel};
-use crate::postprocess::{self, Strategy};
-use crate::{FmError, Result};
-
-/// Default divergence radius for the bounded minimisation of noisy
-/// high-degree polynomials: far above any parameter norm the normalized
-/// domain can produce, so a genuine minimiser is never mistaken for a
-/// divergent iterate.
+/// The divergence radius of the bounded minimisation of noisy high-degree
+/// polynomials: far above any parameter norm the normalized domain can
+/// produce, so a genuine minimiser is never mistaken for a divergent
+/// iterate.
 pub const DEFAULT_DIVERGENCE_RADIUS: f64 = 1e3;
 
 /// A [`GeneralObjective`] that knows which model family its released
@@ -74,12 +68,9 @@ impl SparseRegressionObjective for crate::generic::GeneralLinearObjective {
     type Model = crate::model::LinearModel;
 }
 
-/// The generic Functional-Mechanism estimator over **sparse polynomial**
+/// The Functional-Mechanism estimator over **sparse polynomial**
 /// objectives of any finite degree: the quartic demo, and any user loss
-/// expressible per Equation 3 — configured by the same [`FitConfig`],
-/// implementing the same [`DpEstimator`] surface, debitable through the
-/// same [`crate::session::PrivacySession`], and releasing the same
-/// persistable model types as the degree-2 estimators.
+/// expressible per Equation 3.
 ///
 /// ```
 /// use fm_core::generic::QuarticObjective;
@@ -99,461 +90,20 @@ impl SparseRegressionObjective for crate::generic::GeneralLinearObjective {
 /// let model = est.fit(&data, &mut rng).unwrap();
 /// assert_eq!(model.dim(), 2);
 /// ```
-#[derive(Debug, Clone)]
-pub struct SparseFmEstimator<O> {
-    objective: O,
-    config: FitConfig,
-    radius: f64,
-}
-
-impl<O: SparseRegressionObjective> SparseFmEstimator<O> {
-    /// Wraps an objective with a fit configuration (default divergence
-    /// radius [`DEFAULT_DIVERGENCE_RADIUS`]).
-    #[must_use]
-    pub fn new(objective: O, config: FitConfig) -> Self {
-        SparseFmEstimator {
-            objective,
-            config,
-            radius: DEFAULT_DIVERGENCE_RADIUS,
-        }
-    }
-
-    /// Overrides the divergence radius used by the bounded minimiser.
-    #[must_use]
-    pub fn divergence_radius(mut self, radius: f64) -> Self {
-        self.radius = radius;
-        self
-    }
-
-    /// The shared fit configuration.
-    #[must_use]
-    pub fn config(&self) -> &FitConfig {
-        &self.config
-    }
-
-    /// The objective this estimator perturbs.
-    #[must_use]
-    pub fn objective(&self) -> &O {
-        &self.objective
-    }
-
-    /// The configured privacy budget.
-    #[must_use]
-    pub fn epsilon(&self) -> f64 {
-        self.config.epsilon
-    }
-
-    /// Fits a private model on `data`, which must satisfy the objective's
-    /// domain contract.
-    ///
-    /// # Errors
-    /// * [`FmError::Data`] for contract violations.
-    /// * [`FmError::InvalidConfig`] for a bad ε, Gaussian noise on an
-    ///   objective without a derived Δ₂ or combined with the Resample
-    ///   strategy, a coefficient count beyond
-    ///   [`crate::generic::MAX_COEFFICIENTS`], or zero resample attempts.
-    /// * [`FmError::ResampleExhausted`] / [`FmError::Optim`] when the
-    ///   configured strategy cannot produce a bounded objective.
-    pub fn fit(&self, data: &Dataset, rng: &mut impl Rng) -> Result<O::Model> {
-        self.check_noise()?;
-        let aug;
-        let work: &Dataset = if self.config.fit_intercept {
-            aug = data.augment_for_intercept();
-            &aug
-        } else {
-            data
-        };
-        self.objective.validate(work).map_err(FmError::Data)?;
-        let clean = self.objective.assemble(work);
-        let omega_raw = self.release(&clean, rng)?;
-        Ok(self.finish(omega_raw, Some(self.config.epsilon)))
-    }
-
-    /// Fits a private model from a streaming
-    /// [`fm_data::stream::RowSource`] — the general-degree counterpart of
-    /// [`crate::estimator::FmEstimator::fit_stream`]: blocks are validated
-    /// and accumulated into a [`PolynomialAccumulator`] as they arrive,
-    /// then the mechanism runs once over the assembled coefficients.
-    /// Bit-identical released weights to [`SparseFmEstimator::fit`] on the
-    /// materialized data at the same seed, for any block sizing or shard
-    /// split.
-    ///
-    /// # Errors
-    /// As [`SparseFmEstimator::fit`], plus transport errors from the
-    /// source.
-    pub fn fit_stream(
-        &self,
-        source: &mut (impl fm_data::stream::RowSource + ?Sized),
-        rng: &mut impl Rng,
-    ) -> Result<O::Model> {
-        let mut partial = self.partial_fit()?;
-        partial.absorb(source)?;
-        partial.finalize(rng)
-    }
-
-    /// Fits one model over the union of disjoint shards with the shards
-    /// assembled concurrently under the `parallel` cargo feature — the
-    /// general-degree counterpart of
-    /// [`crate::estimator::FmEstimator::fit_sharded`], with the same
-    /// determinism guarantee: serial and parallel builds release
-    /// bit-identical weights (per-shard accumulations are independent;
-    /// the final merge runs in shard order), and relative to a single
-    /// accumulator over the concatenation the per-shard chunk grids
-    /// regroup floating-point sums like a different `chunk_rows` would.
-    ///
-    /// # Errors
-    /// As [`SparseFmEstimator::fit`], plus [`FmError::Data`] for an empty
-    /// shard list, mismatched shard dimensionalities, or transport
-    /// errors.
-    pub fn fit_sharded<S>(&self, shards: &mut [S], rng: &mut impl Rng) -> Result<O::Model>
-    where
-        S: fm_data::stream::RowSource + Send,
-    {
-        self.check_noise()?;
-        crate::assembly::check_shard_dims(shards)?;
-        let chunk_rows = crate::assembly::DEFAULT_CHUNK_ROWS;
-        let parts = if self.config.fit_intercept {
-            let mut aug: Vec<_> = shards
-                .iter_mut()
-                .map(fm_data::stream::InterceptAugmentSource::new)
-                .collect();
-            crate::generic::assemble_polynomial_shards(&self.objective, &mut aug, chunk_rows)?
-        } else {
-            crate::generic::assemble_polynomial_shards(&self.objective, shards, chunk_rows)?
-        };
-        let mut clean: Option<fm_poly::Polynomial> = None;
-        for (_, part) in parts {
-            if let Some(part) = part {
-                match &mut clean {
-                    None => clean = Some(part),
-                    Some(total) => total.add_assign(&part),
-                }
-            }
-        }
-        let clean = clean.ok_or(FmError::Data(fm_data::DataError::EmptyDataset))?;
-        let omega_raw = self.release(&clean, rng)?;
-        Ok(self.finish(omega_raw, Some(self.config.epsilon)))
-    }
-
-    /// Begins a two-phase shard-at-a-time fit over the general-degree
-    /// objective; see [`crate::estimator::FmEstimator::partial_fit`] for
-    /// the protocol. The Resample + Gaussian refusal happens here,
-    /// *before* any data is absorbed; a missing Δ₂ surfaces at
-    /// [`SparsePartialFit::finalize`].
-    ///
-    /// # Errors
-    /// [`FmError::InvalidConfig`] for Gaussian noise combined with the
-    /// Resample strategy.
-    pub fn partial_fit(&self) -> Result<SparsePartialFit<'_, O>> {
-        self.check_noise()?;
-        Ok(SparsePartialFit {
-            estimator: self,
-            acc: None,
-            chunk_rows: crate::assembly::DEFAULT_CHUNK_ROWS,
-            reservation: None,
-        })
-    }
-
-    /// Resumes an interrupted shard-at-a-time fit from a
-    /// [`SparsePartialFit::checkpoint`] snapshot — the general-degree
-    /// sibling of [`crate::estimator::FmEstimator::resume_partial_fit`],
-    /// with the same bit-identical-release guarantee and the same
-    /// never-re-debit WAL reservation handoff.
-    ///
-    /// # Errors
-    /// [`FmError::InvalidConfig`] for Gaussian noise combined with the
-    /// Resample strategy; [`FmError::Checkpoint`] for
-    /// corruption/truncation, version/kind mismatches, or structural
-    /// violations in the snapshot.
-    pub fn resume_partial_fit(&self, snapshot: &str) -> Result<SparsePartialFit<'_, O>> {
-        self.check_noise()?;
-        let (acc, reservation) = PolynomialAccumulator::resume(&self.objective, snapshot)?;
-        Ok(SparsePartialFit {
-            estimator: self,
-            chunk_rows: acc.chunk_rows(),
-            acc: Some(acc),
-            reservation,
-        })
-    }
-
-    /// The noise/strategy compatibility guard every fitting entry point
-    /// shares: the Lemma-5 resample loop is only sound with Laplace
-    /// noise (its 2× accounting is proved for pure ε-DP), so
-    /// Resample + Gaussian is refused up front — mirroring the degree-2
-    /// pipeline. Whether the *objective* supports Gaussian noise at all
-    /// is decided later by [`GeneralObjective::sensitivity_l2`] inside
-    /// the mechanism, which refuses objectives without a derived Δ₂.
-    fn check_noise(&self) -> Result<()> {
-        if !matches!(self.config.noise, NoiseDistribution::Laplace)
-            && matches!(self.config.strategy, Strategy::Resample { .. })
-        {
-            return Err(FmError::InvalidConfig {
-                name: "strategy",
-                reason: "Resample (Lemma 5) is only sound with Laplace noise".to_string(),
-            });
-        }
-        Ok(())
-    }
-
-    /// The post-assembly half of the pipeline, shared by the in-memory and
-    /// streaming entry points: perturb the already-assembled polynomial
-    /// per the §6-style strategy. The Lemma-5 resample loop re-perturbs
-    /// the same clean coefficients per attempt — assembly is
-    /// deterministic, so the noise stream matches the per-attempt
-    /// re-assembly it replaces.
-    fn release(&self, clean: &fm_poly::Polynomial, rng: &mut impl Rng) -> Result<Vec<f64>> {
-        let start = vec![0.0; clean.num_vars()];
-        match self.config.strategy {
-            Strategy::Resample { max_attempts } => {
-                if max_attempts == 0 {
-                    return Err(FmError::InvalidConfig {
-                        name: "max_attempts",
-                        reason: "must be at least 1".to_string(),
-                    });
-                }
-                // Lemma 5: each attempt runs at ε/2 so the advertised
-                // total honours the 2× repetition cost — identical
-                // accounting to the degree-2 pipeline.
-                let fm = GenericFunctionalMechanism::new(self.config.epsilon / 2.0)?;
-                for _ in 0..max_attempts {
-                    let noisy = fm.perturb_assembled(clean, &self.objective, rng)?;
-                    match postprocess::solve_polynomial(
-                        noisy,
-                        Strategy::FailIfUnbounded,
-                        &start,
-                        self.radius,
-                    ) {
-                        Ok(omega) => return Ok(omega),
-                        Err(FmError::Optim(
-                            fm_optim::OptimError::UnboundedObjective
-                            | fm_optim::OptimError::NonFiniteObjective,
-                        )) => continue,
-                        Err(e) => return Err(e),
-                    }
-                }
-                Err(FmError::ResampleExhausted {
-                    attempts: max_attempts,
-                })
-            }
-            other => {
-                let fm =
-                    GenericFunctionalMechanism::with_noise(self.config.epsilon, self.config.noise)?;
-                let noisy = fm.perturb_assembled(clean, &self.objective, rng)?;
-                postprocess::solve_polynomial(noisy, other, &start, self.radius)
-            }
-        }
-    }
-
-    /// Fits the *non-private* minimiser of the exact polynomial objective
-    /// (ε = ∞) — the reference isolating optimisation/approximation error
-    /// from privacy noise.
-    ///
-    /// # Errors
-    /// [`FmError::Data`] on contract violation, [`FmError::Optim`] when
-    /// the clean objective is itself unbounded within the radius.
-    pub fn fit_without_privacy(&self, data: &Dataset) -> Result<O::Model> {
-        let aug;
-        let work: &Dataset = if self.config.fit_intercept {
-            aug = data.augment_for_intercept();
-            &aug
-        } else {
-            data
-        };
-        self.objective.validate(work).map_err(FmError::Data)?;
-        let clean = self.objective.assemble(work);
-        let omega = crate::generic::minimize_polynomial(&clean, &vec![0.0; work.d()], self.radius)?;
-        Ok(self.finish(omega, None))
-    }
-
-    /// Wraps released weights in the family's model type, undoing the
-    /// intercept augmentation when one was fitted.
-    fn finish(&self, omega_raw: Vec<f64>, epsilon: Option<f64>) -> O::Model {
-        if self.config.fit_intercept {
-            let (omega, b) = crate::model::split_augmented_weights(omega_raw);
-            O::Model::from_parts(omega, b, epsilon)
-        } else {
-            O::Model::from_parts(omega_raw, 0.0, epsilon)
-        }
-    }
-}
-
-/// An in-progress shard-at-a-time fit over a general-degree objective
-/// (see [`SparseFmEstimator::partial_fit`]): the sparse sibling of
-/// [`crate::estimator::PartialFit`], holding a [`PolynomialAccumulator`]
-/// and applying the footnote-2 intercept augmentation per block.
-pub struct SparsePartialFit<'a, O: SparseRegressionObjective> {
-    estimator: &'a SparseFmEstimator<O>,
-    acc: Option<PolynomialAccumulator<'a, O>>,
-    chunk_rows: usize,
-    reservation: Option<u64>,
-}
-
-impl<'a, O: SparseRegressionObjective> SparsePartialFit<'a, O> {
-    /// Overrides the accumulation chunk size — the out-of-core memory
-    /// cap, exactly as [`crate::estimator::PartialFit::chunk_rows`]: set
-    /// it before absorbing data (silently ignored afterwards); the
-    /// default size is bit-identical to [`SparseFmEstimator::fit`].
-    #[must_use]
-    pub fn chunk_rows(mut self, chunk_rows: usize) -> Self {
-        debug_assert!(
-            self.acc.is_none(),
-            "set the chunk size before absorbing data"
-        );
-        if self.acc.is_none() {
-            self.chunk_rows = chunk_rows.max(1);
-        }
-        self
-    }
-
-    fn accumulator(&mut self, work_d: usize) -> Result<&mut PolynomialAccumulator<'a, O>> {
-        let estimator: &'a SparseFmEstimator<O> = self.estimator;
-        let chunk_rows = self.chunk_rows;
-        let acc = self.acc.get_or_insert_with(|| {
-            PolynomialAccumulator::with_chunk_rows(&estimator.objective, work_d, chunk_rows)
-        });
-        if acc.dim() != work_d {
-            return Err(FmError::Data(fm_data::DataError::InvalidParameter {
-                name: "shard",
-                reason: format!(
-                    "shard has working dimensionality {work_d}, earlier shards had {}",
-                    acc.dim()
-                ),
-            }));
-        }
-        Ok(acc)
-    }
-
-    /// Absorbs one shard (drains `source`); returns its row count.
-    ///
-    /// # Errors
-    /// [`FmError::Data`] for dimensionality mismatches, contract
-    /// violations, or transport errors.
-    pub fn absorb(
-        &mut self,
-        source: &mut (impl fm_data::stream::RowSource + ?Sized),
-    ) -> Result<usize> {
-        if self.estimator.config.fit_intercept {
-            let mut aug = fm_data::stream::InterceptAugmentSource::new(source);
-            let work_d = aug.dim();
-            self.accumulator(work_d)?.absorb(&mut aug)
-        } else {
-            let work_d = source.dim();
-            self.accumulator(work_d)?.absorb(source)
-        }
-    }
-
-    /// Total rows absorbed so far.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.acc.as_ref().map_or(0, PolynomialAccumulator::rows)
-    }
-
-    /// Tags this fit with the durable-ledger reservation id it runs
-    /// under, exactly as [`crate::estimator::PartialFit::with_reservation`].
-    #[must_use]
-    pub fn with_reservation(mut self, id: u64) -> Self {
-        self.reservation = Some(id);
-        self
-    }
-
-    /// The durable-ledger reservation id this fit carries, if any.
-    #[must_use]
-    pub fn reservation(&self) -> Option<u64> {
-        self.reservation
-    }
-
-    /// Serializes the fit's complete accumulation state to the versioned,
-    /// checksummed `fm-checkpoint v1` format (kind `polynomial`) — the
-    /// general-degree sibling of
-    /// [`crate::estimator::PartialFit::checkpoint`], with the same
-    /// bit-identical-resume guarantee via
-    /// [`SparseFmEstimator::resume_partial_fit`].
-    ///
-    /// # Errors
-    /// [`FmError::Checkpoint`] when nothing has been absorbed yet.
-    pub fn checkpoint(&self) -> Result<String> {
-        match &self.acc {
-            Some(acc) => Ok(acc.checkpoint(self.reservation)),
-            None => Err(FmError::Checkpoint {
-                reason: "nothing absorbed yet: no accumulation state to snapshot".into(),
-            }),
-        }
-    }
-
-    /// Runs the mechanism over the accumulated polynomial and wraps the
-    /// released weights.
-    ///
-    /// # Errors
-    /// [`FmError::Data`] ([`fm_data::DataError::EmptyDataset`]) when
-    /// nothing was absorbed; otherwise as [`SparseFmEstimator::fit`].
-    pub fn finalize(self, rng: &mut impl Rng) -> Result<O::Model> {
-        let SparsePartialFit { estimator, acc, .. } = self;
-        let clean = acc
-            .filter(|a| a.rows() > 0)
-            .and_then(PolynomialAccumulator::finish)
-            .ok_or(FmError::Data(fm_data::DataError::EmptyDataset))?;
-        let omega_raw = estimator.release(&clean, rng)?;
-        Ok(estimator.finish(omega_raw, Some(estimator.config.epsilon)))
-    }
-}
-
-impl<O: SparseRegressionObjective> crate::estimator::FitProgress for SparsePartialFit<'_, O> {
-    fn rows(&self) -> usize {
-        SparsePartialFit::rows(self)
-    }
-
-    fn reservation(&self) -> Option<u64> {
-        SparsePartialFit::reservation(self)
-    }
-
-    fn checkpoint(&self) -> Result<String> {
-        SparsePartialFit::checkpoint(self)
-    }
-}
-
-impl<O: SparseRegressionObjective> DpEstimator for SparseFmEstimator<O> {
-    type Model = O::Model;
-
-    fn fit(&self, data: &Dataset, mut rng: &mut dyn RngCore) -> Result<O::Model> {
-        SparseFmEstimator::fit(self, data, &mut rng)
-    }
-
-    fn fit_stream(
-        &self,
-        source: &mut dyn fm_data::stream::RowSource,
-        mut rng: &mut dyn RngCore,
-    ) -> Result<O::Model> {
-        SparseFmEstimator::fit_stream(self, source, &mut rng)
-    }
-
-    fn fit_sharded(
-        &self,
-        shards: &mut [&mut (dyn fm_data::stream::RowSource + Send)],
-        mut rng: &mut dyn RngCore,
-    ) -> Result<O::Model> {
-        SparseFmEstimator::fit_sharded(self, shards, &mut rng)
-    }
-
-    fn epsilon(&self) -> Option<f64> {
-        Some(self.config.epsilon)
-    }
-
-    fn delta(&self) -> Option<f64> {
-        // Gaussian releases carry their configured δ into session
-        // accounting; Laplace stays strict ε-DP.
-        self.config.delta()
-    }
-
-    fn task(&self) -> ModelKind {
-        <O::Model as PersistableModel>::KIND
-    }
-}
+pub type SparseFmEstimator<O> = FmEstimator<O, Polynomial>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimator::{DpEstimator, FitConfig};
+    use crate::generic::GenericFunctionalMechanism;
     use crate::generic::QuarticObjective;
+    use crate::mechanism::NoiseDistribution;
     use crate::model::LinearModel;
+    use crate::model::ModelKind;
+    use crate::postprocess::Strategy;
+    use crate::FmError;
+    use fm_data::Dataset;
     use fm_linalg::vecops;
     use rand::SeedableRng;
 
@@ -615,7 +165,7 @@ mod tests {
             data.subset(&idx[..1_111]).unwrap(),
             data.subset(&idx[1_111..]).unwrap(),
         ];
-        let mut partial = est.partial_fit().unwrap();
+        let mut partial = est.partial_fit();
         for s in &shards {
             partial.absorb(&mut InMemorySource::new(s)).unwrap();
         }
@@ -633,7 +183,9 @@ mod tests {
                 .noise(NoiseDistribution::Gaussian { delta: 1e-6 })
                 .strategy(Strategy::Resample { max_attempts: 8 }),
         );
-        assert!(gauss.partial_fit().is_err());
+        let mut refused = gauss.partial_fit();
+        assert!(refused.absorb(&mut InMemorySource::new(&data)).is_err());
+        assert_eq!(refused.rows(), 0);
     }
 
     #[test]

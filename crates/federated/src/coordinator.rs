@@ -38,12 +38,12 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
+use fm_core::codec::checksum64;
 use fm_core::session::SharedPrivacySession;
 use fm_core::{
     CoefficientAccumulator, FmEstimator, FunctionalMechanism, NoisyQuadratic, RegressionObjective,
 };
 use fm_poly::QuadraticForm;
-use fm_privacy::wal::checksum64;
 use rand::Rng;
 
 use crate::error::{protocol, FederatedError, Result};

@@ -165,6 +165,14 @@ impl From<FmError> for FederatedError {
     }
 }
 
+/// The wire formats are `fm_core::codec` frames: every codec refusal is a
+/// wire violation.
+impl From<fm_core::codec::CodecError> for FederatedError {
+    fn from(e: fm_core::codec::CodecError) -> Self {
+        wire(e.0)
+    }
+}
+
 /// Result alias for fallible federated operations.
 pub type Result<T> = std::result::Result<T, FederatedError>;
 

@@ -65,4 +65,4 @@ pub use plan::{dyadic_segments, ClientShare, ShardPlan};
 pub use transport::{
     DeadlineMedium, InMemoryTransport, RetryPolicy, StreamTransport, Transport, MAX_FRAME,
 };
-pub use wire::{AccumUpload, ControlMsg, PayloadMode, WirePartial, ACCUM_MAGIC, CTL_MAGIC};
+pub use wire::{AccumUpload, ControlMsg, PayloadMode, ACCUM_MAGIC, CTL_MAGIC};

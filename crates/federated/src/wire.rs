@@ -7,11 +7,14 @@
 //! payload holding the client's position on the shared chunk grid, its
 //! pre-merged counter runs (each covering `2^rank` consecutive chunks),
 //! and — for the final client of a central-noise round — the raw rows of
-//! the ragged tail chunk. The format follows `fm-checkpoint v1`
-//! ([`fm_core::checkpoint`]) exactly where it can: line-oriented ASCII,
-//! one `key value…` pair per line, floats written with Rust's
+//! the ragged tail chunk. Both formats are frames of the one framed-line
+//! codec [`fm_core::codec`] that `fm-checkpoint v1`
+//! ([`fm_core::checkpoint`]) also uses: line-oriented ASCII, one
+//! `key value…` pair per line, floats written with Rust's
 //! shortest-round-trip formatting (bit-exact on reparse), closed by a
-//! whole-payload FNV-1a-64 checksum ([`fm_privacy::wal::checksum64`]).
+//! whole-payload FNV-1a-64 checksum ([`fm_core::codec::checksum64`]). The
+//! staged-rows and runs section, and each run's [`Coefficients`] body, are
+//! the checkpoint's too.
 //!
 //! v2 adds one header line over v1: `round`, a coordinator-chosen round
 //! id. Together with the client label and the payload checksum it makes
@@ -47,7 +50,8 @@
 //!
 //! Polynomial partials replace the `beta`/`alpha`/`m` lines with
 //! `terms <k>` followed by `term <coeff> <e₁> … <e_d>` lines, exactly as
-//! checkpoints do.
+//! checkpoints do — both formats write each run with
+//! [`Coefficients::encode_body`].
 //!
 //! # What decode refuses
 //!
@@ -64,9 +68,9 @@
 //! of a torn payload — so a faulted transcript can be debugged from the
 //! error alone.
 
-use fm_linalg::Matrix;
-use fm_poly::{Monomial, Polynomial, QuadraticForm};
-use fm_privacy::wal::checksum64;
+use fm_core::codec::{self, LineReader};
+use fm_core::Coefficients;
+use fm_poly::QuadraticForm;
 
 use crate::error::{wire, Result};
 use crate::plan::ClientShare;
@@ -107,95 +111,6 @@ impl PayloadMode {
     }
 }
 
-/// The two partial kinds the wire format carries — the degree-2
-/// [`QuadraticForm`] of the built-in regressions and the general-degree
-/// [`Polynomial`] of `fm_core::generic`.
-pub trait WirePartial: Sized {
-    /// The `kind` tag in the header.
-    const KIND: &'static str;
-
-    /// The partial's variable count (must equal the payload's `d`).
-    fn wire_dim(&self) -> usize;
-
-    /// Appends the partial's body lines to `out`.
-    fn encode_body(&self, out: &mut String);
-
-    /// Parses one partial body at dimensionality `d`.
-    ///
-    /// # Errors
-    /// [`crate::FederatedError::Wire`] for malformed or mis-shaped bodies.
-    fn decode_body(lines: &mut LineReader<'_>, d: usize) -> Result<Self>;
-}
-
-impl WirePartial for QuadraticForm {
-    const KIND: &'static str = "quadratic";
-
-    fn wire_dim(&self) -> usize {
-        self.dim()
-    }
-
-    fn encode_body(&self, out: &mut String) {
-        out.push_str("beta ");
-        push_f64(out, self.beta());
-        out.push('\n');
-        push_floats_line(out, "alpha", self.alpha());
-        push_floats_line(out, "m", self.m().as_slice());
-    }
-
-    fn decode_body(lines: &mut LineReader<'_>, d: usize) -> Result<Self> {
-        let beta = lines.floats("beta", 1)?[0];
-        let alpha = lines.floats("alpha", d)?;
-        let m = lines.floats("m", d * d)?;
-        let m = Matrix::from_vec(d, d, m).map_err(|e| wire(format!("uploaded m: {e}")))?;
-        Ok(QuadraticForm::new(m, alpha, beta))
-    }
-}
-
-impl WirePartial for Polynomial {
-    const KIND: &'static str = "polynomial";
-
-    fn wire_dim(&self) -> usize {
-        self.num_vars()
-    }
-
-    fn encode_body(&self, out: &mut String) {
-        let n_terms = self.terms().count();
-        out.push_str(&format!("terms {n_terms}\n"));
-        for (phi, coeff) in self.terms() {
-            out.push_str("term ");
-            push_f64(out, coeff);
-            for &e in phi.exponents() {
-                out.push_str(&format!(" {e}"));
-            }
-            out.push('\n');
-        }
-    }
-
-    fn decode_body(lines: &mut LineReader<'_>, d: usize) -> Result<Self> {
-        let n_terms = lines.usize_field("terms")?;
-        let mut poly = Polynomial::zero(d);
-        for _ in 0..n_terms {
-            let toks = lines.tagged("term")?;
-            let mut toks = toks.split(' ');
-            let coeff = parse_f64_tok("term coefficient", toks.next())?;
-            let exps: Vec<u32> = toks
-                .map(|t| {
-                    t.parse::<u32>()
-                        .map_err(|_| wire(format!("unparseable exponent {t:?}")))
-                })
-                .collect::<Result<_>>()?;
-            if exps.len() != d {
-                return Err(wire(format!(
-                    "term has {} exponents, payload says d = {d}",
-                    exps.len()
-                )));
-            }
-            poly.add_term(Monomial::new(exps), coeff);
-        }
-        Ok(poly)
-    }
-}
-
 /// One client's contribution to a federated round, as carried by the
 /// `fm-accum v2` wire format: the client's identity, round id and grid
 /// position, its pre-merged counter runs, and (final client of a central
@@ -227,7 +142,7 @@ pub struct AccumUpload<P = QuadraticForm> {
     pub staged_ys: Vec<f64>,
 }
 
-impl<P: WirePartial> AccumUpload<P> {
+impl<P: Coefficients> AccumUpload<P> {
     /// Serializes the upload to the versioned, checksummed `fm-accum v2`
     /// text format. Floats are written shortest-round-trip, so
     /// [`AccumUpload::decode`] reproduces the exact bits.
@@ -244,15 +159,14 @@ impl<P: WirePartial> AccumUpload<P> {
         out.push_str(&format!("chunk_rows {}\n", self.chunk_rows));
         out.push_str(&format!("start_chunk {}\n", self.start_chunk));
         out.push_str(&format!("rows {}\n", self.rows));
-        out.push_str(&format!("staged {}\n", self.staged_ys.len()));
-        push_floats_line(&mut out, "stage_ys", &self.staged_ys);
-        push_floats_line(&mut out, "stage_xs", &self.staged_xs);
-        out.push_str(&format!("runs {}\n", self.runs.len()));
-        for (rank, part) in &self.runs {
-            out.push_str(&format!("run {rank}\n"));
-            part.encode_body(&mut out);
-        }
-        out.push_str(&format!("checksum {:016x}\n", checksum64(out.as_bytes())));
+        codec::push_state(
+            &mut out,
+            &self.staged_xs,
+            &self.staged_ys,
+            "run",
+            &self.runs,
+        );
+        codec::seal(&mut out);
         out
     }
 
@@ -267,9 +181,7 @@ impl<P: WirePartial> AccumUpload<P> {
     /// payload carrying anything but a single rank-0 run. Errors carry
     /// the offending body line or the torn payload's byte count.
     pub fn decode(text: &str) -> Result<Self> {
-        let body = verify_checksum(text)?;
-
-        let mut lines = LineReader::new(body);
+        let mut lines = LineReader::new(codec::unseal(text)?);
         let magic = lines.next_line()?;
         if magic != ACCUM_MAGIC {
             return Err(wire(format!(
@@ -285,78 +197,28 @@ impl<P: WirePartial> AccumUpload<P> {
         }
         let client = lines.tagged("client")?.to_string();
         validate_client_label(&client)?;
-        let round = lines.u64_field("round")?;
+        let round = lines.field("round")?;
         let mode = PayloadMode::parse(lines.tagged("mode")?)?;
-        let d = lines.usize_field("d")?;
+        let d: usize = lines.field("d")?;
         if d == 0 {
             return Err(wire("uploaded d must be ≥ 1"));
         }
-        let chunk_rows = lines.usize_field("chunk_rows")?;
+        let chunk_rows: usize = lines.field("chunk_rows")?;
         if chunk_rows == 0 {
             return Err(wire("uploaded chunk_rows must be ≥ 1"));
         }
-        let start_chunk = lines.usize_field("start_chunk")?;
-        let rows = lines.usize_field("rows")?;
-
-        let staged = lines.usize_field("staged")?;
-        if staged >= chunk_rows {
-            return Err(wire(format!(
-                "{staged} staged rows cannot fit a {chunk_rows}-row chunk mid-fill"
-            )));
-        }
-        let staged_ys = lines.floats("stage_ys", staged)?;
-        let staged_xs = lines.floats("stage_xs", staged * d)?;
-
-        let n_runs = lines.usize_field("runs")?;
-        let mut runs: Vec<(u32, P)> = Vec::with_capacity(n_runs.min(1024));
-        let mut chunks_total = 0usize;
-        for _ in 0..n_runs {
-            let rank_tok = lines.tagged("run")?;
-            let rank: u32 = rank_tok
-                .parse()
-                .map_err(|_| wire(format!("unparseable run rank {rank_tok:?}")))?;
-            if rank >= usize::BITS {
-                return Err(wire(format!("run rank {rank} overflows the chunk grid")));
-            }
-            let run_chunks = 1usize << rank;
-            let position = start_chunk
-                .checked_add(chunks_total)
-                .ok_or_else(|| wire("chunk position overflows"))?;
-            if position % run_chunks != 0 {
-                return Err(wire(format!(
-                    "run of 2^{rank} chunks is not aligned at chunk {position}: \
-                     replaying it would regroup sums the single-machine tree never groups"
-                )));
-            }
-            let part = P::decode_body(&mut lines, d)?;
-            if part.wire_dim() != d {
-                return Err(wire(format!(
-                    "run partial has d = {}, payload says {d}",
-                    part.wire_dim()
-                )));
-            }
-            chunks_total = chunks_total
-                .checked_add(run_chunks)
-                .ok_or_else(|| wire("run chunks overflow the addressable grid"))?;
-            runs.push((rank, part));
-        }
-        if lines.lines.next().is_some() {
-            return Err(wire("trailing content after the last run"));
-        }
+        let start_chunk = lines.field("start_chunk")?;
+        let rows = lines.field("rows")?;
+        let (staged_xs, staged_ys) = lines.staged(d, chunk_rows)?;
+        let staged = staged_ys.len();
+        let (runs, chunks_total) = lines.runs::<P>("run", d, start_chunk)?;
+        lines.end("last run")?;
 
         match mode {
             PayloadMode::Clean => {
                 // Every run holds exactly 2^rank full chunks; only the
                 // ragged tail travels as raw rows.
-                let expected_rows = chunks_total
-                    .checked_mul(chunk_rows)
-                    .and_then(|v| v.checked_add(staged));
-                if expected_rows != Some(rows) {
-                    return Err(wire(format!(
-                        "row count {rows} inconsistent with {chunks_total} chunks of \
-                         {chunk_rows} rows plus {staged} staged"
-                    )));
-                }
+                codec::check_rows(rows, chunks_total, chunk_rows, staged)?;
             }
             PayloadMode::Noisy => {
                 // A noisy upload is one perturbed objective — never raw
@@ -389,37 +251,6 @@ impl<P: WirePartial> AccumUpload<P> {
             staged_ys,
         })
     }
-}
-
-/// Verifies the trailing `checksum` line of a payload and returns the
-/// body it closes over. Shared by `fm-accum v2` and `fm-ctl v1`: the
-/// checksum line closes over every byte before it, and the payload must
-/// end exactly at its newline — a payload missing even the final byte is
-/// refused, with the refusal naming how many bytes actually arrived.
-fn verify_checksum(text: &str) -> Result<&str> {
-    let body_end = text.rfind("checksum ").ok_or_else(|| {
-        wire(format!(
-            "missing checksum line in a {}-byte payload (truncated?)",
-            text.len()
-        ))
-    })?;
-    let (body, sum_line) = text.split_at(body_end);
-    let sum_hex = sum_line.strip_prefix("checksum ").expect("split at match");
-    let Some(sum_hex) = sum_hex.strip_suffix('\n') else {
-        return Err(wire(format!(
-            "payload torn mid-checksum at byte {}",
-            text.len()
-        )));
-    };
-    let expected = u64::from_str_radix(sum_hex, 16)
-        .map_err(|_| wire(format!("unparseable checksum {sum_hex:?}")))?;
-    if sum_hex.len() != 16 || checksum64(body.as_bytes()) != expected {
-        return Err(wire(format!(
-            "checksum mismatch over a {}-byte body: payload is corrupt or truncated",
-            body.len()
-        )));
-    }
-    Ok(body)
 }
 
 /// A coordinator→client control message in a fault-tolerant round, as
@@ -480,7 +311,7 @@ impl ControlMsg {
                 out.push_str(&format!("round {round}\n"));
             }
         }
-        out.push_str(&format!("checksum {:016x}\n", checksum64(out.as_bytes())));
+        codec::seal(&mut out);
         out
     }
 
@@ -491,42 +322,31 @@ impl ControlMsg {
     /// skew, unknown message types, malformed fields, or a share whose
     /// row count disagrees with its chunk geometry.
     pub fn decode(text: &str) -> Result<Self> {
-        let body = verify_checksum(text)?;
-        let mut lines = LineReader::new(body);
+        let mut lines = LineReader::new(codec::unseal(text)?);
         let magic = lines.next_line()?;
         if magic != CTL_MAGIC {
             return Err(wire(format!(
                 "unsupported control format {magic:?} (expected {CTL_MAGIC:?})"
             )));
         }
-        let kind = lines.tagged("type")?;
-        let round = match kind {
-            "assign" => {
-                let round = lines.u64_field("round")?;
-                let start_row = lines.usize_field("start_row")?;
-                let rows = lines.usize_field("rows")?;
-                let start_chunk = lines.usize_field("start_chunk")?;
-                let chunks = lines.usize_field("chunks")?;
-                let tail_rows = lines.usize_field("tail_rows")?;
-                let share = ClientShare {
-                    start_row,
-                    rows,
-                    start_chunk,
-                    chunks,
-                    tail_rows,
-                };
-                if lines.lines.next().is_some() {
-                    return Err(wire("trailing content after the assignment"));
-                }
-                return Ok(ControlMsg::Assign { round, share });
-            }
-            "done" => lines.u64_field("round")?,
+        let msg = match lines.tagged("type")? {
+            "assign" => ControlMsg::Assign {
+                round: lines.field("round")?,
+                share: ClientShare {
+                    start_row: lines.field("start_row")?,
+                    rows: lines.field("rows")?,
+                    start_chunk: lines.field("start_chunk")?,
+                    chunks: lines.field("chunks")?,
+                    tail_rows: lines.field("tail_rows")?,
+                },
+            },
+            "done" => ControlMsg::Done {
+                round: lines.field("round")?,
+            },
             other => return Err(wire(format!("unknown control type {other:?}"))),
         };
-        if lines.lines.next().is_some() {
-            return Err(wire("trailing content after the control message"));
-        }
-        Ok(ControlMsg::Done { round })
+        lines.end("control message")?;
+        Ok(msg)
     }
 }
 
@@ -548,106 +368,13 @@ fn validate_client_label(label: &str) -> Result<()> {
     Ok(())
 }
 
-/// Shortest-round-trip float formatting (bit-exact on reparse — the same
-/// regime `fm-checkpoint v1` and `persist::SavedModel` rely on).
-fn push_f64(out: &mut String, v: f64) {
-    out.push_str(&format!("{v}"));
-}
-
-fn push_floats_line(out: &mut String, tag: &str, vals: &[f64]) {
-    out.push_str(tag);
-    for &v in vals {
-        out.push(' ');
-        push_f64(out, v);
-    }
-    out.push('\n');
-}
-
-fn parse_f64_tok(what: &str, tok: Option<&str>) -> Result<f64> {
-    let tok = tok.ok_or_else(|| wire(format!("missing {what}")))?;
-    let v: f64 = tok
-        .parse()
-        .map_err(|_| wire(format!("unparseable {what} {tok:?}")))?;
-    if v.is_finite() {
-        Ok(v)
-    } else {
-        Err(wire(format!("{what} must be finite, got {tok}")))
-    }
-}
-
-/// Sequential tagged-line reader over the payload body (same shape as
-/// the checkpoint parser's; public only because [`WirePartial`] bodies
-/// read through it). Tracks the 1-based line number so every refusal
-/// names where in the transcript it happened.
-pub struct LineReader<'a> {
-    lines: std::str::Lines<'a>,
-    line: usize,
-}
-
-impl<'a> LineReader<'a> {
-    fn new(body: &'a str) -> Self {
-        LineReader {
-            lines: body.lines(),
-            line: 0,
-        }
-    }
-
-    fn next_line(&mut self) -> Result<&'a str> {
-        self.line += 1;
-        let at = self.line;
-        self.lines
-            .next()
-            .ok_or_else(|| wire(format!("payload body truncated at line {at}")))
-    }
-
-    /// Consumes the next line, requiring tag `tag`; returns the rest.
-    fn tagged(&mut self, tag: &str) -> Result<&'a str> {
-        let line = self.next_line()?;
-        match line.strip_prefix(tag) {
-            Some("") => Ok(""),
-            Some(rest) if rest.starts_with(' ') => Ok(&rest[1..]),
-            _ => Err(wire(format!(
-                "line {}: expected `{tag} …`, found {line:?} (unknown or out-of-order key)",
-                self.line
-            ))),
-        }
-    }
-
-    fn usize_field(&mut self, tag: &str) -> Result<usize> {
-        let rest = self.tagged(tag)?;
-        rest.parse::<usize>()
-            .map_err(|_| wire(format!("line {}: unparseable {tag} {rest:?}", self.line)))
-    }
-
-    fn u64_field(&mut self, tag: &str) -> Result<u64> {
-        let rest = self.tagged(tag)?;
-        rest.parse::<u64>()
-            .map_err(|_| wire(format!("line {}: unparseable {tag} {rest:?}", self.line)))
-    }
-
-    /// Consumes a `tag v0 v1 …` line carrying exactly `n` finite floats.
-    fn floats(&mut self, tag: &str, n: usize) -> Result<Vec<f64>> {
-        let rest = self.tagged(tag)?;
-        let vals: Vec<f64> = rest
-            .split(' ')
-            .filter(|t| !t.is_empty())
-            .map(|t| parse_f64_tok(tag, Some(t)))
-            .collect::<Result<_>>()?;
-        if vals.len() != n {
-            return Err(wire(format!(
-                "line {}: {tag}: expected {n} values, found {}",
-                self.line,
-                vals.len()
-            )));
-        }
-        Ok(vals)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::FederatedError;
+    use fm_core::codec::checksum64;
+    use fm_linalg::Matrix;
+    use fm_poly::Polynomial;
 
     fn sample_upload() -> AccumUpload<QuadraticForm> {
         let d = 2;

@@ -271,6 +271,20 @@ fn parse_u64(op: &'static str, field: &str, tok: &str) -> Result<u64> {
         .map_err(|_| corrupt(op, format!("unparseable {field} {tok:?}")))
 }
 
+/// Parses a `spent` summary total, which sums reservations that each
+/// passed [`EpsDeltaEntry::validated`]: finite and non-negative.
+fn parse_total(op: &'static str, field: &str, tok: &str) -> Result<f64> {
+    let v = parse_f64(op, field, tok)?;
+    if v.is_finite() && v >= 0.0 {
+        Ok(v)
+    } else {
+        Err(corrupt(
+            op,
+            format!("{field} total {tok:?} must be finite and non-negative"),
+        ))
+    }
+}
+
 impl WalLedger {
     /// Opens (creating if absent) the log at `path`, replaying any existing
     /// records with fail-closed recovery semantics.
@@ -439,18 +453,27 @@ impl WalLedger {
                     _ => return Err(corrupt(OP, format!("malformed reserve record {body:?}"))),
                 };
                 let id = parse_u64(OP, "reservation id", id)?;
+                // The same (ε, δ) check `reserve` applies before writing.
+                let entry = EpsDeltaEntry::validated(
+                    parse_f64(OP, "epsilon", eps)?,
+                    parse_f64(OP, "delta", delta)?,
+                )
+                .map_err(|e| corrupt(OP, format!("reservation {id}: {e}")))?;
+                let next_id = id.checked_add(1).ok_or_else(|| {
+                    corrupt(OP, format!("reservation id {id} exhausts the id space"))
+                })?;
                 let res = Reservation {
                     id,
                     tenant: tenant.to_owned(),
                     label: label.to_owned(),
-                    epsilon: parse_f64(OP, "epsilon", eps)?,
-                    delta: parse_f64(OP, "delta", delta)?,
+                    epsilon: entry.epsilon,
+                    delta: entry.delta,
                     sealed: false,
                 };
                 if self.open.insert(id, res).is_some() {
                     return Err(corrupt(OP, format!("duplicate reservation id {id}")));
                 }
-                self.next_id = self.next_id.max(id + 1);
+                self.next_id = self.next_id.max(next_id);
             }
             Some("commit") => {
                 let id = match (toks.next(), toks.next()) {
@@ -492,8 +515,8 @@ impl WalLedger {
                     .committed
                     .entry(tenant.to_owned())
                     .or_insert((0.0, 0.0, 0));
-                slot.0 += parse_f64(OP, "epsilon", eps)?;
-                slot.1 += parse_f64(OP, "delta", delta)?;
+                slot.0 += parse_total(OP, "epsilon", eps)?;
+                slot.1 += parse_total(OP, "delta", delta)?;
                 slot.2 += usize::try_from(parse_u64(OP, "fit count", fits)?)
                     .map_err(|_| corrupt(OP, "fit count overflows usize"))?;
             }
@@ -937,6 +960,40 @@ mod tests {
             after.age
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Opens a log holding `records` after the header, each framed with
+    /// a valid checksum.
+    fn open_with_records(tag: &str, records: &[&str]) -> Result<(WalLedger, RecoveryReport)> {
+        let path = tmp_wal(tag);
+        let mut text = frame(WAL_MAGIC);
+        text.push('\n');
+        for record in records {
+            text.push_str(&frame(record));
+            text.push('\n');
+        }
+        std::fs::write(&path, text).unwrap();
+        let opened = WalLedger::open(&path);
+        let _ = std::fs::remove_file(&path);
+        opened
+    }
+
+    #[test]
+    fn replay_refuses_the_last_reservation_id() {
+        let opened = open_with_records("max-id", &["reserve 18446744073709551615 0.5 0 t l"]);
+        assert!(matches!(opened, Err(PrivacyError::Durability { .. })));
+    }
+
+    #[test]
+    fn replay_refuses_a_negative_spent_total() {
+        let opened = open_with_records("neg-spent", &["spent -0.5 0 1 t"]);
+        assert!(matches!(opened, Err(PrivacyError::Durability { .. })));
+    }
+
+    #[test]
+    fn replay_refuses_a_non_finite_reservation() {
+        let opened = open_with_records("nan-eps", &["reserve 2 NaN 0 t l"]);
+        assert!(matches!(opened, Err(PrivacyError::Durability { .. })));
     }
 
     #[test]

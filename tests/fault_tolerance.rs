@@ -291,7 +291,7 @@ fn checkpointed_sparse_fit_resumes_bit_identical() {
         est.fit(&data, &mut fit_rng).unwrap()
     };
 
-    let mut partial = est.partial_fit().unwrap();
+    let mut partial = est.partial_fit();
     let idx: Vec<usize> = (0..data.n()).collect();
     let first = data.subset(&idx[..600]).unwrap();
     let rest = data.subset(&idx[600..]).unwrap();
@@ -322,7 +322,12 @@ fn corrupted_checkpoints_are_refused() {
     // Pristine round-trips; any flipped byte or truncation is refused.
     // (The snapshot is pure ASCII, so byte surgery stays valid UTF-8.)
     assert!(est.resume_partial_fit(&snapshot).is_ok());
-    for cut in [0, snapshot.len() / 3, snapshot.len() - 2] {
+    for cut in [
+        0,
+        snapshot.len() / 3,
+        snapshot.len() - 2,
+        snapshot.len() - 1,
+    ] {
         assert!(
             matches!(
                 est.resume_partial_fit(&snapshot[..cut]),
@@ -338,6 +343,25 @@ fn corrupted_checkpoints_are_refused() {
             "byte flip at {cut} accepted"
         );
     }
+}
+
+#[test]
+fn resample_with_gaussian_noise_is_refused_before_any_row_is_read() {
+    // Lemma 5 is only sound under pure ε-DP: the dense partial fit must
+    // refuse the configuration at its first absorb, not after the scan.
+    let mut r = rng(56);
+    let data = linear_dataset(&mut r, 200, 2, 0.1);
+    let est = DpLinearRegression::builder()
+        .epsilon(0.5)
+        .noise(NoiseDistribution::Gaussian { delta: 1e-6 })
+        .strategy(FitStrategy::Resample { max_attempts: 4 })
+        .build();
+    let mut partial = est.partial_fit();
+    assert!(matches!(
+        partial.absorb(&mut InMemorySource::new(&data)),
+        Err(FmError::InvalidConfig { .. })
+    ));
+    assert_eq!(partial.rows(), 0);
 }
 
 proptest! {

@@ -106,6 +106,37 @@ fn full_queue_rejects_try_send_and_blocks_send_until_drained() {
 }
 
 #[test]
+fn resample_with_gaussian_noise_is_refunded_before_any_row_is_scanned() {
+    // Admission debits the tenant, then the worker refuses the unsound
+    // Lemma-5 + Gaussian configuration at the first block: no row was
+    // scanned, so the reservation is refunded, not committed.
+    let path = temp_wal("resample_gauss");
+    let _ = std::fs::remove_file(&path);
+    let (session, _) = SharedPrivacySession::with_wal(&path, None).unwrap();
+    let session = Arc::new(session);
+    let service = FitService::new(Arc::clone(&session), ServeConfig::new().workers(1));
+    let before = session.spent_for("t0");
+    let est = DpLinearRegression::builder()
+        .epsilon(0.5)
+        .noise(NoiseDistribution::Gaussian { delta: 1e-6 })
+        .strategy(Strategy::Resample { max_attempts: 4 })
+        .build();
+    let data = linear_dataset(&mut StdRng::seed_from_u64(7), 64, 2, 0.1);
+    let (handle, sender) = service
+        .submit(est, FitRequest::new("t0", "unsound", 2))
+        .unwrap();
+    send_all(&data, 64, &sender);
+    drop(sender);
+    assert!(matches!(
+        handle.wait(),
+        Err(ServeError::Fm(FmError::InvalidConfig { .. }))
+    ));
+    assert_eq!(session.spent_for("t0"), before);
+    drop(service);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn shutdown_mid_fit_resumes_bit_identical_on_a_restarted_service() {
     let path = temp_wal("restart");
     let _ = std::fs::remove_file(&path);
