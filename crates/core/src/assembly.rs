@@ -65,28 +65,25 @@ where
 {
     let chunk_rows = chunk_rows.max(1);
     let n_chunks = n.div_ceil(chunk_rows);
-    let bounds = move |c: usize| (c * chunk_rows, ((c + 1) * chunk_rows).min(n));
-
-    #[cfg(feature = "parallel")]
-    let partials: Vec<T> = {
-        use rayon::prelude::*;
-        (0..n_chunks)
-            .into_par_iter()
-            .map(|c| {
-                let (lo, hi) = bounds(c);
-                map(lo, hi)
-            })
-            .collect()
-    };
-    #[cfg(not(feature = "parallel"))]
-    let partials: Vec<T> = (0..n_chunks)
-        .map(|c| {
-            let (lo, hi) = bounds(c);
-            map(lo, hi)
-        })
-        .collect();
-
+    let partials = map_in_order((0..n_chunks).collect(), |c| {
+        map(c * chunk_rows, ((c + 1) * chunk_rows).min(n))
+    });
     tree_reduce(partials, merge)
+}
+
+/// Maps `items` through `f`, on rayon under the `parallel` feature and
+/// serially otherwise; the outputs come back in input order either way,
+/// so whatever merges them downstream never depends on scheduling.
+fn map_in_order<T: Send, U: Send>(items: Vec<T>, f: impl Fn(T) -> U + Sync + Send) -> Vec<U> {
+    #[cfg(feature = "parallel")]
+    {
+        use rayon::prelude::*;
+        items.into_par_iter().map(f).collect()
+    }
+    #[cfg(not(feature = "parallel"))]
+    {
+        items.into_iter().map(f).collect()
+    }
 }
 
 /// Incremental pairwise merger: pushing chunk partials one at a time
@@ -180,11 +177,11 @@ impl<T> TreeCounter<T> {
 /// `flush` sees exactly the `chunk_rows`-row chunks (plus one final
 /// ragged chunk) that [`assemble_with_chunk_rows`] would form over the
 /// materialized concatenation — the other half of the streaming path's
-/// bit-identity guarantee. Peak memory is one staged chunk; blocks that
-/// arrive chunk-aligned are flushed straight from the caller's slice
-/// without copying, and the staging buffers persist across chunks
-/// (cleared after each flush, never reallocated), so a steady stream
-/// costs no per-chunk allocation.
+/// bit-identity guarantee. A block's full chunks are lent straight from
+/// the caller's slice; only a chunk that straddles two blocks is copied
+/// into the staging buffers, which persist across chunks (cleared after
+/// each flush, never reallocated), so a steady stream costs no per-chunk
+/// allocation. Peak staged memory is one chunk.
 pub(crate) struct ChunkStage {
     d: usize,
     chunk_rows: usize,
@@ -219,42 +216,46 @@ impl ChunkStage {
         self.chunk_rows
     }
 
-    /// Feeds a row-major block, invoking `flush(xs, ys)` once per
-    /// completed chunk.
+    /// Feeds a row-major block: hands `flush` every chunk the block
+    /// completes, in grid order — the staged head chunk topped up from
+    /// the block first, then the block's own full chunks, borrowed in
+    /// place — and stages the rest. `flush` runs once per block, with an
+    /// empty list when the block completes no chunk.
     pub(crate) fn push(
         &mut self,
         mut xs: &[f64],
         mut ys: &[f64],
-        flush: &mut impl FnMut(&[f64], &[f64]),
+        flush: impl FnOnce(Vec<(&[f64], &[f64])>),
     ) {
         debug_assert_eq!(xs.len(), ys.len() * self.d, "chunk stage: shape mismatch");
-        loop {
-            if self.ys.is_empty() {
-                // Chunk-aligned fast path: no staging copy.
-                while ys.len() >= self.chunk_rows {
-                    let (cy, ry) = ys.split_at(self.chunk_rows);
-                    let (cx, rx) = xs.split_at(self.chunk_rows * self.d);
-                    flush(cx, cy);
-                    xs = rx;
-                    ys = ry;
-                }
-            }
-            if ys.is_empty() {
-                return;
-            }
+        let d = self.d;
+        if !self.ys.is_empty() {
             let take = self.rows_to_boundary().min(ys.len());
-            self.xs.extend_from_slice(&xs[..take * self.d]);
+            self.xs.extend_from_slice(&xs[..take * d]);
             self.ys.extend_from_slice(&ys[..take]);
-            xs = &xs[take * self.d..];
+            xs = &xs[take * d..];
             ys = &ys[take..];
-            if self.ys.len() == self.chunk_rows {
-                flush(&self.xs, &self.ys);
-                self.xs.clear();
-                self.ys.clear();
-            } else {
-                return; // input exhausted mid-chunk
-            }
         }
+        let head = self.ys.len() == self.chunk_rows;
+        let body = ys.len() / self.chunk_rows * self.chunk_rows;
+        let (body_xs, tail_xs) = xs.split_at(body * d);
+        let (body_ys, tail_ys) = ys.split_at(body);
+        let mut chunks = Vec::with_capacity(usize::from(head) + body / self.chunk_rows);
+        if head {
+            chunks.push((&self.xs[..], &self.ys[..]));
+        }
+        chunks.extend(
+            body_xs
+                .chunks_exact(self.chunk_rows * d)
+                .zip(body_ys.chunks_exact(self.chunk_rows)),
+        );
+        flush(chunks);
+        if head {
+            self.xs.clear();
+            self.ys.clear();
+        }
+        self.xs.extend_from_slice(tail_xs);
+        self.ys.extend_from_slice(tail_ys);
     }
 
     /// Flushes the final ragged chunk, if any.
@@ -310,8 +311,11 @@ impl ChunkStage {
 ///    whose merge tree is provably identical to the in-memory pairwise
 ///    tree reduction while holding only `O(log n_chunks)` partials.
 ///
-/// Memory is bounded by one staged chunk (`chunk_rows × d`) plus the
-/// counter stack — independent of the stream length.
+/// Memory is bounded by one staged chunk (`chunk_rows × d`), the counter
+/// stack, and the partials of one block's chunks while they are mapped —
+/// independent of the stream length. Only [`RowSource::zero_copy`]
+/// sources are asked for blocks longer than one chunk, and they lend
+/// them without copying.
 pub struct CoefficientAccumulator<'a, O: ?Sized, C = QuadraticForm> {
     objective: &'a O,
     core: StreamCore<C>,
@@ -424,9 +428,11 @@ impl<'a, O: Objective<C> + ?Sized, C: Coefficients> CoefficientAccumulator<'a, O
     /// ([`RowSource::take_dataset`]) and is chunked in place — reusing
     /// the dataset's cached columnar transpose when the objective has
     /// columnar kernels — while genuinely streaming sources drain through
-    /// the **borrowed-block visitor** ([`RowSource::for_each_block`]) at
-    /// the chunk size: no block copy, no per-block allocation on either
-    /// path, so streamed in-memory assembly runs at batched speed.
+    /// the **borrowed-block visitor** ([`RowSource::for_each_block`]):
+    /// in windows of many chunks mapped across cores for
+    /// [`RowSource::zero_copy`] sources, at the chunk size for all others.
+    /// No block copy and no per-block allocation on either path, so
+    /// streamed in-memory assembly runs at batched speed.
     ///
     /// # Errors
     /// [`FmError::Data`] for a dimensionality mismatch, transport errors
@@ -477,6 +483,12 @@ pub(crate) struct StreamCore<C> {
     rows: usize,
 }
 
+/// Full chunks per block requested from a [`RowSource::zero_copy`]
+/// source: one block validates once and maps this many chunk partials
+/// across cores, while holding at most this many partials before they
+/// merge. Blocks from other sources stay one chunk long.
+const WINDOW_CHUNKS: usize = 32;
+
 /// One chunk partial: fresh zero coefficients, accumulated by the
 /// objective's kernel over exactly the rows the in-memory chunking forms.
 fn chunk<O: Objective<C> + ?Sized, C: Coefficients>(
@@ -520,26 +532,27 @@ impl<C: Coefficients> StreamCore<C> {
     }
 
     /// Shape-checks, validates, stages, and accumulates one row-major
-    /// block. `DataError`-typed so the borrowed-block visitor
-    /// ([`RowSource::for_each_block`]) can drive it directly; the public
-    /// accumulator lifts the error into [`FmError::Data`].
+    /// block: the block is validated once, then every full chunk it
+    /// completes (the staged head chunk included) goes through the chunk
+    /// kernel in one map — across cores under `parallel` — and the
+    /// partials enter the merge counter in chunk order. A block that
+    /// fails validation leaves the core untouched. `DataError`-typed so
+    /// the borrowed-block visitor ([`RowSource::for_each_block`]) can
+    /// drive it directly; the public accumulator lifts the error into
+    /// [`FmError::Data`].
     pub(crate) fn push_rows<O: Objective<C> + ?Sized>(
         &mut self,
         objective: &O,
         xs: &[f64],
         ys: &[f64],
     ) -> fm_data::Result<()> {
-        if xs.len() != ys.len() * self.d {
-            return Err(DataError::LengthMismatch {
-                rows: xs.len() / self.d.max(1),
-                labels: ys.len(),
-            });
-        }
+        fm_data::dataset::check_shape(xs, ys, self.d)?;
         objective.check_rows(xs, ys, self.d)?;
-        let d = self.d;
-        let counter = &mut self.counter;
-        self.stage.push(xs, ys, &mut |cx, cy| {
-            counter.push(chunk(objective, cx, cy, d), &C::merge);
+        let (d, counter) = (self.d, &mut self.counter);
+        self.stage.push(xs, ys, |chunks| {
+            for part in map_in_order(chunks, |(cx, cy)| chunk(objective, cx, cy, d)) {
+                counter.push(part, &C::merge);
+            }
         });
         self.rows += ys.len();
         Ok(())
@@ -552,20 +565,23 @@ impl<C: Coefficients> StreamCore<C> {
     ///    ([`RowSource::take_dataset`]) hands it over whole (only when the
     ///    stage sits on a chunk boundary): the dataset is validated in one
     ///    pass and chunked **on exactly the grid the stream would have
-    ///    been re-chunked to**, each chunk partial pushed into the merge
-    ///    counter in order — and when the objective has columnar kernels
-    ///    and the dataset a cached transpose
-    ///    ([`fm_data::Dataset::columnar_on_reuse`]), the chunks read it,
-    ///    so repeat in-memory fits through the streaming entry points
-    ///    reach the batched path's steady-state rate;
+    ///    been re-chunked to**, the full chunks mapped across cores and
+    ///    their partials pushed into the merge counter in order — and
+    ///    when the objective has columnar kernels and the dataset a cached
+    ///    transpose ([`fm_data::Dataset::columnar_on_reuse`]), the chunks
+    ///    read it, so repeat in-memory fits through the streaming entry
+    ///    points reach the batched path's steady-state rate;
     /// 2. while the stage holds a partial chunk (a previous shard ended
     ///    mid-chunk), owned blocks are pulled at the staging boundary so a
     ///    well-behaved source re-aligns the stage in one block;
     /// 3. the aligned bulk goes through the **borrowed-block visitor**
-    ///    ([`RowSource::for_each_block`]) at exactly `chunk_rows` per
-    ///    block — sources with a zero-copy fast path (in-memory data,
-    ///    reused CSV buffers) feed the kernels without a single block
-    ///    copy, and chunk-aligned blocks skip the staging copy too.
+    ///    ([`RowSource::for_each_block`]). A [`RowSource::zero_copy`]
+    ///    source lends windows of `WINDOW_CHUNKS` chunks per block,
+    ///    whose chunks map across cores in one go; every other source is
+    ///    asked for exactly `chunk_rows` per block, its memory cap. Either
+    ///    way, sources with a borrowed fast path (in-memory data, reused
+    ///    CSV buffers) feed the kernels without a single block copy, and
+    ///    chunk-aligned blocks skip the staging copy too.
     ///
     /// All phases produce identical chunk boundaries and an identical
     /// merge tree (and the columnar kernels are bit-identical to the
@@ -600,26 +616,24 @@ impl<C: Coefficients> StreamCore<C> {
                 // shard split invisible), so the tail goes through the
                 // ordinary stage exactly as a streamed block would.
                 let full_chunks = n / chunk_rows;
-                for c in 0..full_chunks {
-                    let lo = c * chunk_rows;
-                    let hi = lo + chunk_rows;
-                    let part = match xt {
+                let parts = map_in_order((0..full_chunks).collect(), |c| {
+                    let (lo, hi) = (c * chunk_rows, (c + 1) * chunk_rows);
+                    match xt {
                         Some(xt) => {
                             let mut part = C::zero(d);
                             objective.accumulate_columnar(xt, ys, lo, hi, &mut part);
                             part
                         }
                         None => chunk(objective, &xs[lo * d..hi * d], &ys[lo..hi], d),
-                    };
+                    }
+                });
+                for part in parts {
                     self.counter.push(part, &C::merge);
                 }
                 let lo = full_chunks * chunk_rows;
-                if lo < n {
-                    let counter = &mut self.counter;
-                    self.stage.push(&xs[lo * d..], &ys[lo..], &mut |cx, cy| {
-                        counter.push(chunk(objective, cx, cy, d), &C::merge);
-                    });
-                }
+                self.stage.push(&xs[lo * d..], &ys[lo..], |chunks| {
+                    debug_assert!(chunks.is_empty(), "the tail is shorter than a chunk");
+                });
                 self.rows += n;
                 return Ok(self.rows - before);
             }
@@ -638,8 +652,13 @@ impl<C: Coefficients> StreamCore<C> {
             }
         }
         let chunk_rows = self.stage.chunk_rows();
+        let max_rows = if source.zero_copy() {
+            WINDOW_CHUNKS.saturating_mul(chunk_rows)
+        } else {
+            chunk_rows
+        };
         source
-            .for_each_block(chunk_rows, &mut |block| {
+            .for_each_block(max_rows, &mut |block| {
                 self.push_rows(objective, block.xs(), block.ys())
             })
             .map_err(FmError::Data)?;
@@ -856,22 +875,13 @@ where
     C: Coefficients,
     S: RowSource + Send,
 {
-    let run = |shard: &mut S| {
+    map_in_order(shards.iter_mut().collect(), |shard: &mut S| {
         let mut acc = CoefficientAccumulator::with_chunk_rows(objective, shard.dim(), chunk_rows);
         let rows = acc.absorb(shard)?;
         Ok((rows, acc.finish()))
-    };
-
-    #[cfg(feature = "parallel")]
-    let results: Vec<Result<(usize, Option<C>)>> = {
-        use rayon::prelude::*;
-        let handles: Vec<&mut S> = shards.iter_mut().collect();
-        handles.into_par_iter().map(run).collect()
-    };
-    #[cfg(not(feature = "parallel"))]
-    let results: Vec<Result<(usize, Option<C>)>> = shards.iter_mut().map(run).collect();
-
-    results.into_iter().collect()
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Refuses shard lists whose members disagree on dimensionality — the
@@ -1138,8 +1148,8 @@ mod tests {
                 let mut pos = 0usize;
                 for take in split {
                     let hi = (pos + take).min(n);
-                    stage.push(&xs[pos * d..hi * d], &ys[pos..hi], &mut |cx, cy| {
-                        got.push((cx.to_vec(), cy.to_vec()));
+                    stage.push(&xs[pos * d..hi * d], &ys[pos..hi], |chunks| {
+                        got.extend(chunks.iter().map(|(cx, cy)| (cx.to_vec(), cy.to_vec())));
                     });
                     pos = hi;
                 }

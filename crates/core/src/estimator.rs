@@ -632,10 +632,14 @@ pub struct PartialFit<'a, O, C = QuadraticForm> {
 
 impl<'a, O: Objective<C>, C: Coefficients> PartialFit<'a, O, C> {
     /// Overrides the accumulation chunk size — the out-of-core **memory
-    /// cap**: peak staged memory is one `chunk_rows × d` block whatever
-    /// the stream length. Must be set before any data is absorbed
-    /// (silently ignored afterwards — the chunking of already-absorbed
-    /// rows cannot be rewritten).
+    /// cap**: a copying source (a CSV stream, a queue, an adapter) is
+    /// asked for one chunk per block, so peak staged memory is one
+    /// `chunk_rows × d` block whatever the stream length. A
+    /// [`RowSource::zero_copy`] source lends windows of many chunks in
+    /// place instead, which copies nothing and lets the chunks map across
+    /// cores. Must be set before any data is absorbed (silently ignored
+    /// afterwards — the chunking of already-absorbed rows cannot be
+    /// rewritten).
     ///
     /// At the default size the release is bit-identical to
     /// [`FmEstimator::fit`]; a different size regroups floating-point

@@ -344,6 +344,14 @@ fn sq_norm(x: &[f64]) -> f64 {
     a0 + a1
 }
 
+/// Rows per range of the contract scan. An input of at most one range —
+/// every chunk-sized streamed block — is scanned on the calling thread;
+/// a longer one (an in-memory dataset, a zero-copy window of chunks) is
+/// split into ranges of this many rows whose counts are summed on rayon
+/// under the `parallel` feature. Fixed, so which ranges a row falls in
+/// never depends on the worker count.
+const SCAN_RANGE_ROWS: usize = 16_384;
+
 /// The branchless bulk scan behind the three contract checks: counts
 /// violating rows (norm or label) without any per-row branch, so the
 /// common all-clean case pipelines across rows. NaNs count as violations
@@ -351,12 +359,56 @@ fn sq_norm(x: &[f64]) -> f64 {
 /// is the negated `<=` rather than a `>` or a `partial_cmp`.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
 #[inline]
-fn count_violations(xs: &[f64], ys: &[f64], d: usize, y_ok: impl Fn(f64) -> bool) -> usize {
+fn count_range(xs: &[f64], ys: &[f64], d: usize, y_ok: &impl Fn(f64) -> bool) -> usize {
     let mut bad = 0usize;
     for (x, &y) in xs.chunks_exact(d).zip(ys) {
         bad += usize::from(!(sq_norm(x) <= NORM_SQ_MAX)) + usize::from(!y_ok(y));
     }
     bad
+}
+
+/// [`count_range`] over the whole input in [`SCAN_RANGE_ROWS`] ranges,
+/// scanned in parallel when the `parallel` feature is on and there is
+/// more than one. The counts are integers, so the sum is the same in any
+/// order.
+fn count_violations(xs: &[f64], ys: &[f64], d: usize, y_ok: impl Fn(f64) -> bool + Sync) -> usize {
+    let ranges = ys.len().div_ceil(SCAN_RANGE_ROWS);
+    let count = |r: usize| {
+        let lo = r * SCAN_RANGE_ROWS;
+        let hi = (lo + SCAN_RANGE_ROWS).min(ys.len());
+        count_range(&xs[lo * d..hi * d], &ys[lo..hi], d, &y_ok)
+    };
+    #[cfg(feature = "parallel")]
+    if ranges > 1 {
+        use rayon::prelude::*;
+        let counts: Vec<usize> = (0..ranges).into_par_iter().map(count).collect();
+        return counts.into_iter().sum();
+    }
+    (0..ranges).map(count).sum()
+}
+
+/// Refuses a row-major block that is not `k × d` with `d ≥ 1`,
+/// `k = ys.len()` — the shape every block consumer walks `xs` in: the
+/// contract scans below zip `d`-wide rows with `ys`, so a longer `ys`
+/// would go unchecked, and `d = 0` has no rows to walk.
+///
+/// # Errors
+/// * [`DataError::InvalidParameter`] for `d = 0`.
+/// * [`DataError::LengthMismatch`] unless `xs.len() == ys.len()·d`.
+pub fn check_shape(xs: &[f64], ys: &[f64], d: usize) -> Result<()> {
+    if d == 0 {
+        return Err(DataError::InvalidParameter {
+            name: "d",
+            reason: "a row block needs at least one feature column".to_string(),
+        });
+    }
+    if ys.len().checked_mul(d) != Some(xs.len()) {
+        return Err(DataError::LengthMismatch {
+            rows: xs.len() / d,
+            labels: ys.len(),
+        });
+    }
+    Ok(())
 }
 
 /// The cold path: re-scans to name the first violating tuple (the scan is
@@ -389,9 +441,11 @@ fn locate_violation(
 /// Tuple indices in error messages are block-local.
 ///
 /// # Errors
-/// [`DataError::NotNormalized`] naming the first violating tuple.
+/// * [`DataError::NotNormalized`] naming the first violating tuple.
+/// * [`DataError::InvalidParameter`] for `d = 0`, and
+///   [`DataError::LengthMismatch`] unless `xs.len() == ys.len()·d`.
 pub fn check_rows_normalized_linear(xs: &[f64], ys: &[f64], d: usize) -> Result<()> {
-    debug_assert_eq!(xs.len(), ys.len() * d.max(1), "block shape mismatch");
+    check_shape(xs, ys, d)?;
     let y_ok = |y: f64| (-1.0 - NORM_TOL..=1.0 + NORM_TOL).contains(&y);
     if count_violations(xs, ys, d, y_ok) == 0 {
         return Ok(());
@@ -408,9 +462,9 @@ pub fn check_rows_normalized_linear(xs: &[f64], ys: &[f64], d: usize) -> Result<
 /// [`check_rows_normalized_linear`].
 ///
 /// # Errors
-/// [`DataError::NotNormalized`] naming the first violating tuple.
+/// As [`check_rows_normalized_linear`].
 pub fn check_rows_normalized_logistic(xs: &[f64], ys: &[f64], d: usize) -> Result<()> {
-    debug_assert_eq!(xs.len(), ys.len() * d.max(1), "block shape mismatch");
+    check_shape(xs, ys, d)?;
     let y_ok = |y: f64| y == 0.0 || y == 1.0;
     if count_violations(xs, ys, d, y_ok) == 0 {
         return Ok(());
@@ -426,7 +480,7 @@ pub fn check_rows_normalized_logistic(xs: &[f64], ys: &[f64], d: usize) -> Resul
 /// over a row-major block; see [`check_rows_normalized_linear`].
 ///
 /// # Errors
-/// [`DataError::NotNormalized`] naming the first violating tuple, or
+/// As [`check_rows_normalized_linear`], plus
 /// [`DataError::InvalidParameter`] for a non-positive/non-finite cap.
 pub fn check_rows_normalized_counts(xs: &[f64], ys: &[f64], d: usize, y_max: f64) -> Result<()> {
     if !y_max.is_finite() || y_max <= 0.0 {
@@ -435,7 +489,7 @@ pub fn check_rows_normalized_counts(xs: &[f64], ys: &[f64], d: usize, y_max: f64
             reason: format!("{y_max} must be finite and > 0"),
         });
     }
-    debug_assert_eq!(xs.len(), ys.len() * d.max(1), "block shape mismatch");
+    check_shape(xs, ys, d)?;
     let y_ok = |y: f64| (0.0..=y_max + NORM_TOL).contains(&y);
     if count_violations(xs, ys, d, y_ok) == 0 {
         return Ok(());
@@ -599,6 +653,76 @@ mod tests {
             Err(DataError::InvalidParameter { .. })
         ));
         assert!(ds.check_normalized_counts(f64::INFINITY).is_err());
+    }
+
+    #[test]
+    fn row_checks_refuse_mis_shaped_blocks() {
+        // One feature for two labels: the out-of-contract second label
+        // must not slip past the row walk.
+        assert!(matches!(
+            check_rows_normalized_linear(&[0.1], &[0.5, 9.0], 1),
+            Err(DataError::LengthMismatch { rows: 1, labels: 2 })
+        ));
+        assert!(matches!(
+            check_rows_normalized_logistic(&[], &[1.0], 0),
+            Err(DataError::InvalidParameter { name: "d", .. })
+        ));
+        assert!(matches!(
+            check_rows_normalized_counts(&[0.1, 0.2, 0.3], &[1.0], 2, 4.0),
+            Err(DataError::LengthMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn the_range_split_scan_finds_violations_in_every_range() {
+        let d = 2;
+        // Three full ranges and a short last one.
+        let n = 3 * SCAN_RANGE_ROWS + 17;
+        let xs: Vec<f64> = (0..n * d).map(|i| (i % 7) as f64 * 0.05).collect();
+        let ys: Vec<f64> = (0..n).map(|i| (i % 5) as f64 * 0.2 - 0.4).collect();
+        check_rows_normalized_linear(&xs, &ys, d).unwrap();
+        let linear = |xs: &[f64], ys: &[f64]| {
+            check_rows_normalized_linear(xs, ys, d)
+                .unwrap_err()
+                .to_string()
+        };
+        let not_normalized = |detail: String| DataError::NotNormalized { detail }.to_string();
+
+        for range in 0..4 {
+            let i = range * SCAN_RANGE_ROWS + 11;
+            let mut bad_x = xs.clone();
+            bad_x[i * d..(i + 1) * d].copy_from_slice(&[3.0, 4.0]);
+            assert_eq!(
+                linear(&bad_x, &ys),
+                not_normalized(format!("‖x_{i}‖₂ = 5 > 1"))
+            );
+            let mut bad_y = ys.clone();
+            bad_y[i] = 2.0;
+            assert_eq!(
+                linear(&xs, &bad_y),
+                not_normalized(format!("y_{i} = 2 outside [−1, 1]"))
+            );
+        }
+
+        // NaN in the very last row.
+        let mut nan = xs.clone();
+        nan[(n - 1) * d] = f64::NAN;
+        assert_eq!(
+            linear(&nan, &ys),
+            not_normalized(format!("‖x_{}‖₂ = NaN > 1", n - 1))
+        );
+
+        // Two violations in different ranges: both are counted, and the
+        // error names the first.
+        let mut two = ys.clone();
+        two[2 * SCAN_RANGE_ROWS + 5] = -3.0;
+        two[SCAN_RANGE_ROWS + 9] = 1.5;
+        let y_ok = |y: f64| (-1.0..=1.0).contains(&y);
+        assert_eq!(count_violations(&xs, &two, d, y_ok), 2);
+        assert_eq!(
+            linear(&xs, &two),
+            not_normalized(format!("y_{} = 1.5 outside [−1, 1]", SCAN_RANGE_ROWS + 9))
+        );
     }
 
     #[test]

@@ -34,9 +34,13 @@
 //! `fm-core`'s accumulators drain sources through the visitor, which is
 //! what lets in-memory data fitted *through the streaming entry points*
 //! (CV folds, `fit_in_session`, `fit_stream`) run at batched-kernel speed
-//! instead of paying one block copy per chunk. Both paths feed the same
-//! fixed re-chunking stage, so which one a source takes can never perturb
-//! released coefficients.
+//! instead of paying one block copy per chunk. A source whose visitor
+//! lends views into stable storage says so through
+//! [`RowSource::zero_copy`]; the accumulator then asks it for windows of
+//! many chunks per block and maps their chunks across cores, while
+//! copying sources keep one chunk per block as their memory cap. Every
+//! path feeds the same fixed re-chunking stage, so which one a source
+//! takes can never perturb released coefficients.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader, Lines, Read};
@@ -45,7 +49,7 @@ use std::path::Path;
 use fm_linalg::Matrix;
 
 use crate::csv::parse_numeric_row;
-use crate::dataset::Dataset;
+use crate::dataset::{check_shape, Dataset};
 use crate::normalize::Normalizer;
 use crate::{DataError, Result};
 
@@ -69,18 +73,7 @@ impl RowBlock {
     /// * [`DataError::InvalidParameter`] for `d = 0`.
     /// * [`DataError::LengthMismatch`] unless `xs.len() == ys.len()·d`.
     pub fn new(xs: Vec<f64>, ys: Vec<f64>, d: usize) -> Result<Self> {
-        if d == 0 {
-            return Err(DataError::InvalidParameter {
-                name: "d",
-                reason: "a row block needs at least one feature column".to_string(),
-            });
-        }
-        if xs.len() != ys.len() * d {
-            return Err(DataError::LengthMismatch {
-                rows: xs.len() / d,
-                labels: ys.len(),
-            });
-        }
+        check_shape(&xs, &ys, d)?;
         Ok(RowBlock { xs, ys, d })
     }
 
@@ -161,18 +154,7 @@ impl<'a> RowBlockRef<'a> {
     /// * [`DataError::InvalidParameter`] for `d = 0`.
     /// * [`DataError::LengthMismatch`] unless `xs.len() == ys.len()·d`.
     pub fn new(xs: &'a [f64], ys: &'a [f64], d: usize) -> Result<Self> {
-        if d == 0 {
-            return Err(DataError::InvalidParameter {
-                name: "d",
-                reason: "a row block needs at least one feature column".to_string(),
-            });
-        }
-        if xs.len() != ys.len() * d {
-            return Err(DataError::LengthMismatch {
-                rows: xs.len() / d,
-                labels: ys.len(),
-            });
-        }
+        check_shape(xs, ys, d)?;
         Ok(RowBlockRef { xs, ys, d })
     }
 
@@ -221,9 +203,10 @@ pub type BlockVisitor<'v> = dyn FnMut(RowBlockRef<'_>) -> Result<()> + 'v;
 /// Contract for implementors:
 ///
 /// * [`RowSource::next_block`] yields **at most** `max_rows` rows per call
-///   (callers size their staging buffers by it — this is the out-of-core
-///   memory cap), never an empty block, and `None` exactly once the
-///   source is exhausted;
+///   (callers size their staging buffers by it — for every source that
+///   is not [`RowSource::zero_copy`] this is the out-of-core memory cap),
+///   never an empty block, and `None` exactly once the source is
+///   exhausted;
 /// * every yielded block has dimensionality [`RowSource::dim`];
 /// * the concatenation of all yielded blocks, in order, is the logical
 ///   dataset;
@@ -231,6 +214,9 @@ pub type BlockVisitor<'v> = dyn FnMut(RowBlockRef<'_>) -> Result<()> + 'v;
 ///   the rows `next_block` would have yielded, in the same order, under
 ///   the same `max_rows` cap — it is an alternative *transport*, never an
 ///   alternative semantics.
+/// * [`RowSource::zero_copy`] may return `true` only when
+///   `for_each_block` lends views into storage that outlives the drain,
+///   so that asking for more rows per block allocates and copies nothing.
 ///
 /// The trait is dyn-compatible: `&mut dyn RowSource` is what the
 /// estimator-level `fit_stream` entry points accept.
@@ -292,11 +278,29 @@ pub trait RowSource {
         }
         Ok(())
     }
+
+    /// Whether [`RowSource::for_each_block`] lends views into stable
+    /// storage, so a larger `max_rows` costs no memory. A consumer may
+    /// then ask such a source for blocks many chunks long — `fm-core`'s
+    /// accumulator maps a window of chunks across cores per block —
+    /// while every other source keeps `max_rows` as its memory cap.
+    ///
+    /// The default is `false`. [`InMemorySource`] is zero-copy, and so
+    /// is a [`ShardedSource`] whose shards all are; sources that parse,
+    /// copy or transform rows ([`CsvStreamSource`],
+    /// [`InterceptAugmentSource`], [`TakeRows`], the prefetch and queue
+    /// sources) are not.
+    fn zero_copy(&self) -> bool {
+        false
+    }
 }
 
 impl<S: RowSource + ?Sized> RowSource for &mut S {
     fn dim(&self) -> usize {
         (**self).dim()
+    }
+    fn zero_copy(&self) -> bool {
+        (**self).zero_copy()
     }
     fn hint_rows(&self) -> Option<usize> {
         (**self).hint_rows()
@@ -315,6 +319,9 @@ impl<S: RowSource + ?Sized> RowSource for &mut S {
 impl<S: RowSource + ?Sized> RowSource for Box<S> {
     fn dim(&self) -> usize {
         (**self).dim()
+    }
+    fn zero_copy(&self) -> bool {
+        (**self).zero_copy()
     }
     fn hint_rows(&self) -> Option<usize> {
         (**self).hint_rows()
@@ -408,6 +415,10 @@ impl RowSource for InMemorySource<'_> {
         } else {
             None
         }
+    }
+
+    fn zero_copy(&self) -> bool {
+        true
     }
 }
 
@@ -1033,6 +1044,10 @@ impl<S: RowSource> RowSource for ShardedSource<S> {
         self.shards[0].dim()
     }
 
+    fn zero_copy(&self) -> bool {
+        self.shards.iter().all(RowSource::zero_copy)
+    }
+
     fn hint_rows(&self) -> Option<usize> {
         self.shards[self.current..]
             .iter()
@@ -1298,6 +1313,10 @@ impl<S: RowSource> ProvenancedSource<S> {
 impl<S: RowSource> RowSource for ProvenancedSource<S> {
     fn dim(&self) -> usize {
         self.inner.dim()
+    }
+
+    fn zero_copy(&self) -> bool {
+        self.inner.zero_copy()
     }
 
     fn hint_rows(&self) -> Option<usize> {
