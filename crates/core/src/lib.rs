@@ -15,10 +15,12 @@
 //!   over ([`Coefficients`]: dense `QuadraticForm`, sparse `Polynomial`)
 //!   and the one [`Objective`] trait whose two blanket impls hold
 //!   everything that differs between them.
-//! * [`session`] — [`session::PrivacySession`]: budget-aware fitting that
-//!   debits every `fit` against a `fm_privacy` ledger and reports the
-//!   honest composed (ε, δ) — basic and advanced composition — for
-//!   multi-fit workloads (CV repeats, ε-sweeps, model selection).
+//! * [`session`] — one accounting core, [`session::SharedPrivacySession`]
+//!   (integer-quanta admission, two-phase permits, optional WAL, one
+//!   parallel-composition scope, one report path), and its single-owner
+//!   face [`session::PrivacySession`], which debits every `fit` before it
+//!   runs and reports the honest composed (ε, δ) for multi-fit workloads
+//!   (CV repeats, ε-sweeps, model selection).
 //! * [`assembly`] — the **batched coefficient-assembly hot path**: chunked
 //!   map-reduce over the dataset's rows with blocked Gram kernels
 //!   (`yᵀy` / `Xᵀy` / `XᵀX`) and a deterministic pairwise tree reduction;

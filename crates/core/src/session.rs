@@ -1,21 +1,27 @@
-//! [`PrivacySession`]: budget-aware fitting with automatic composition
-//! accounting.
+//! Budget-aware fitting with exact composition accounting: one
+//! accounting core behind two faces.
 //!
 //! The paper's evaluation protocol fits *many* models on the same data —
 //! 50 repeats × 5-fold cross-validation per method, ε-sweeps, model
 //! selection — and every one of those fits spends privacy budget on the
-//! same individuals. Before this module, `fm_privacy::budget` had the
-//! ledgers but nothing consulted them; a 250-fold experiment silently
-//! advertised its per-fit ε as if the fits were free to compose.
+//! same individuals. A 250-fold experiment that advertised its per-fit ε
+//! as if the fits were free to compose would silently overstate its
+//! privacy; this module debits every fit and reports the honest total.
 //!
-//! A [`PrivacySession`] wraps a [`PrivacyBudget`] (optional hard cap) and
-//! an [`EpsDeltaLedger`] (always-on audit trail) around any
-//! [`DpEstimator`]: every fit drawn through [`PrivacySession::fit`] first
-//! debits its advertised (ε, δ) — an over-budget fit **errors before
-//! touching the data** — and the session can then report the honest total
-//! under basic composition `(Σεᵢ, Σδᵢ)` and the Dwork–Rothblum–Vadhan
-//! advanced bound (the `√k` regime that pays off exactly in the many-
-//! small-fits CV setting).
+//! * [`SharedPrivacySession`] is the core. Admission is a lock-free CAS
+//!   on an integer counter of [`fm_privacy::budget::EPS_QUANTUM`] quanta
+//!   against an optional hard cap; every debit is a two-phase
+//!   [`BudgetPermit`] (reserve, then commit or abort), optionally made
+//!   durable through a write-ahead log first; one
+//!   [`SharedParallelScope`] implements parallel composition; and one
+//!   [`CompositionReport`] path answers basic, advanced and
+//!   moments-accountant composition.
+//! * [`PrivacySession`] is its single-owner face for experiment
+//!   harnesses: it owns one WAL-less `SharedPrivacySession`, turns every
+//!   fit drawn through it into `begin(…)?.commit()` **before the data is
+//!   touched** (an over-budget fit errors without running), and opens its
+//!   [`ParallelFits`] scopes on the same [`SharedParallelScope`]. It
+//!   holds no accounting state of its own.
 //!
 //! Non-private baselines (`epsilon() == None`) pass through without a
 //! debit, so one harness loop can run FM, DPME, FP *and* NoPrivacy while
@@ -38,33 +44,45 @@
 //! assert!(session.fit(&est, &data, &mut rng).is_err()); // budget exhausted
 //! ```
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+
 use rand::Rng;
 
 use fm_data::cv::KFold;
 use fm_data::stream::RowSource;
 use fm_data::Dataset;
-use fm_privacy::budget::{EpsDeltaLedger, PrivacyBudget};
+use fm_privacy::budget::{
+    cap_to_units, eps_to_units, units_to_eps, EpsDeltaEntry, EpsDeltaLedger, PrivacyBudget,
+    EPS_QUANTUM,
+};
 use fm_privacy::rdp::{MomentsAccount, RdpLedger, RenyiMechanism};
+use fm_privacy::wal::{CompactionPolicy, RecoveryReport, WalLedger, WalStats};
 
 use crate::estimator::{DpEstimator, FmEstimator, RegressionObjective};
 use crate::{FmError, Result};
 
+/// The tenant a [`PrivacySession`] books its fits under on its core.
+const SESSION_TENANT: &str = "session";
+
 /// A budget-aware fitting session: every [`DpEstimator::fit`] drawn
 /// through it is debited against an optional hard ε cap and recorded in an
-/// (ε, δ) audit ledger.
-#[derive(Debug, Clone, Default)]
+/// (ε, δ) audit ledger — a single-owner wrapper over one WAL-less
+/// [`SharedPrivacySession`], so both APIs share one admission arithmetic,
+/// one parallel scope and one report path.
+#[derive(Debug, Default)]
 pub struct PrivacySession {
-    budget: Option<PrivacyBudget>,
-    ledger: EpsDeltaLedger,
-    rdp: RdpLedger,
-    fits: usize,
+    shared: SharedPrivacySession,
 }
 
 /// The composed guarantee of everything a session has fitted, in the
 /// forms an auditor asks for.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompositionReport {
-    /// Number of budget-consuming fits recorded.
+    /// Number of budget-consuming releases recorded (a parallel scope is
+    /// one release).
     pub fits: usize,
     /// Basic (sequential) composition `(Σεᵢ, Σδᵢ)`.
     pub basic: (f64, f64),
@@ -107,7 +125,9 @@ impl PrivacySession {
     /// *what did all of this compose to?* after the fact.
     #[must_use]
     pub fn new() -> Self {
-        PrivacySession::default()
+        PrivacySession {
+            shared: SharedPrivacySession::new(),
+        }
     }
 
     /// A session enforcing a total ε budget: a fit whose advertised ε
@@ -118,10 +138,7 @@ impl PrivacySession {
     /// [`FmError::Privacy`] unless `total_epsilon` is finite and > 0.
     pub fn with_budget(total_epsilon: f64) -> Result<Self> {
         Ok(PrivacySession {
-            budget: Some(PrivacyBudget::new(total_epsilon)?),
-            ledger: EpsDeltaLedger::new(),
-            rdp: RdpLedger::new(),
-            fits: 0,
+            shared: SharedPrivacySession::with_cap(total_epsilon)?,
         })
     }
 
@@ -134,12 +151,14 @@ impl PrivacySession {
         let Some(epsilon) = estimator.epsilon() else {
             return true; // non-private: never debited
         };
-        if fm_privacy::budget::EpsDeltaEntry::validated(epsilon, estimator.delta().unwrap_or(0.0))
-            .is_err()
-        {
-            return false;
-        }
-        self.budget.as_ref().map_or(true, |b| b.can_spend(epsilon))
+        EpsDeltaEntry::validated(epsilon, estimator.delta().unwrap_or(0.0)).is_ok()
+            && self
+                .shared
+                .within_cap(
+                    self.shared.spent_units.load(Ordering::Acquire),
+                    eps_to_units(epsilon),
+                )
+                .is_some()
     }
 
     /// Fits `estimator` on `data`, debiting its advertised (ε, δ) first.
@@ -209,18 +228,15 @@ impl PrivacySession {
     /// *training* splits overlap — each tuple appears in k−1 of them — so
     /// [`PrivacySession::cross_validate`] deliberately stays sequential.)
     ///
-    /// Budget mechanics: the scope debits the hard cap incrementally (the
-    /// running max only ever grows, and each increment is checked *before*
-    /// the corresponding fit runs), and records one `(max ε, max δ)`
-    /// ledger entry when it closes — [`ParallelFits::finish`] or drop.
+    /// The scope is a [`SharedParallelScope`] on the session's core, so
+    /// the budget mechanics are that scope's: each shard debits only the
+    /// amount by which it raises the running maximum, checked against the
+    /// cap *before* the fit runs, and closing the scope
+    /// ([`ParallelFits::finish`] or drop) records one release.
     #[must_use]
     pub fn parallel_fits(&mut self) -> ParallelFits<'_> {
         ParallelFits {
-            session: self,
-            max_epsilon: 0.0,
-            max_delta: 0.0,
-            labels: Vec::new(),
-            closed: false,
+            scope: self.shared.parallel_scope(SESSION_TENANT),
         }
     }
 
@@ -263,7 +279,7 @@ impl PrivacySession {
     ///
     /// Accounting is identical too: one parallel-composition scope,
     /// every shard debited under its auto-generated label, one
-    /// `(max ε, max δ)` ledger entry. The only behavioural difference is
+    /// `(max ε, max δ)` release. The only behavioural difference is
     /// timing — all shards are debited *before* any data is touched, so
     /// an over-budget line-up is refused up front instead of between
     /// shard fits.
@@ -283,7 +299,7 @@ impl PrivacySession {
     {
         let mut scope = self.parallel_fits();
         for i in 0..shards.len() {
-            scope.debit_shard(&format!("shard-{i}"), estimator)?;
+            scope.admit(&format!("shard-{i}"), estimator)?;
         }
         let parts = estimator.assemble_shards_clean(shards)?;
         let mut models = Vec::with_capacity(parts.len());
@@ -349,20 +365,15 @@ impl PrivacySession {
         estimator.fit_sharded(shards, rng)
     }
 
-    /// The debit every fitting entry point shares: validate the advertised
-    /// (ε, δ), spend against the cap, record in the ledger.
+    /// The debit every fitting entry point shares: reserve the advertised
+    /// (ε, δ) on the core and commit it at once — the wrapper's fits run
+    /// after their debit has become history.
     fn debit<E: DpEstimator + ?Sized>(&mut self, estimator: &E) -> Result<()> {
         if let Some(epsilon) = estimator.epsilon() {
-            let entry = fm_privacy::budget::EpsDeltaEntry::validated(
-                epsilon,
-                estimator.delta().unwrap_or(0.0),
-            )?;
-            if let Some(budget) = &mut self.budget {
-                budget.spend(epsilon)?;
-            }
-            self.ledger.record_entry(entry);
-            record_renyi(&mut self.rdp, entry.epsilon, entry.delta);
-            self.fits += 1;
+            let delta = estimator.delta().unwrap_or(0.0);
+            self.shared
+                .begin(SESSION_TENANT, "fit", epsilon, delta)?
+                .commit()?;
         }
         Ok(())
     }
@@ -416,76 +427,67 @@ impl PrivacySession {
         Ok(scores)
     }
 
-    /// Number of budget-consuming fits recorded so far.
+    /// Number of budget-consuming releases recorded so far (a parallel
+    /// scope is one).
     #[must_use]
     pub fn num_fits(&self) -> usize {
-        self.fits
+        self.shared.committed_fits()
     }
 
-    /// Total ε spent under basic composition.
+    /// Total ε spent under basic composition: the core's `Σεᵢ` over the
+    /// recorded releases, summed in the order they were recorded (the
+    /// cap itself is enforced in integer quanta).
     #[must_use]
     pub fn spent_epsilon(&self) -> f64 {
-        self.ledger.basic_composition().0
+        self.shared.spent_for(SESSION_TENANT).0
     }
 
     /// Total δ accumulated under basic composition.
     #[must_use]
     pub fn spent_delta(&self) -> f64 {
-        self.ledger.basic_composition().1
+        self.shared.spent_for(SESSION_TENANT).1
     }
 
     /// ε still available under the hard cap (`None` when the session is
     /// uncapped).
     #[must_use]
     pub fn remaining_epsilon(&self) -> Option<f64> {
-        self.budget.as_ref().map(PrivacyBudget::remaining)
+        self.shared.remaining_epsilon()
     }
 
-    /// The underlying (ε, δ) audit ledger.
+    /// A snapshot of the (ε, δ) audit ledger.
     #[must_use]
-    pub fn ledger(&self) -> &EpsDeltaLedger {
-        &self.ledger
+    pub fn ledger(&self) -> EpsDeltaLedger {
+        self.shared.lock().ledger.clone()
     }
 
-    /// The composed guarantee at advanced-composition slack `delta_prime`,
-    /// which doubles as the moments accountant's target δ for the
-    /// report's [`CompositionReport::rdp`] column (δ = 0 debits enter as
-    /// pure-DP curves, classically calibrated (ε, δ) debits as Gaussian
-    /// curves, and anything else — including parallel-composition
-    /// scopes — as opaque basic-composed records).
+    /// The composed guarantee at advanced-composition slack `delta_prime`
+    /// (see [`SharedPrivacySession::report`]), which doubles as the
+    /// moments accountant's target δ for the report's
+    /// [`CompositionReport::rdp`] column: δ = 0 debits enter as pure-DP
+    /// curves, classically calibrated (ε, δ) debits as Gaussian curves,
+    /// and anything else — including parallel-composition scopes — as
+    /// opaque basic-composed records.
     ///
     /// # Errors
     /// [`FmError::Privacy`] unless `delta_prime ∈ (0, 1)`.
     pub fn report(&self, delta_prime: f64) -> Result<CompositionReport> {
-        let basic = self.ledger.basic_composition();
-        let advanced = self.ledger.advanced_composition(delta_prime)?;
-        let best = self.ledger.best_composition(delta_prime)?;
-        let rdp = self.rdp.convert(delta_prime)?;
-        Ok(CompositionReport {
-            fits: self.fits,
-            basic,
-            advanced,
-            best,
-            rdp,
-        })
+        self.shared.report(delta_prime)
     }
 }
 
-/// An open parallel-composition scope (see
-/// [`PrivacySession::parallel_fits`]): shard fits recorded here debit the
-/// session `max(εᵢ)` in total, and shard labels enforce the only
-/// disjointness property code can check — no shard is fitted twice.
+/// An open parallel-composition scope on a [`PrivacySession`] (see
+/// [`PrivacySession::parallel_fits`]): a [`SharedParallelScope`] on the
+/// session's core that also runs the shard fits. Shard fits recorded here
+/// debit the session `max(εᵢ)` in total, and shard labels enforce the
+/// only disjointness property code can check — no shard is fitted twice.
 ///
-/// The scope commits its single `(max ε, max δ)` ledger entry when it
-/// closes, via [`ParallelFits::finish`] or implicitly on drop (the hard
-/// cap was already debited incrementally, so early exits can never
-/// under-count the budget).
+/// The scope records its single `(max ε, max δ)` release when it closes,
+/// via [`ParallelFits::finish`] or implicitly on drop (the cap was already
+/// debited incrementally, so early exits can never under-count the
+/// budget).
 pub struct ParallelFits<'s> {
-    session: &'s mut PrivacySession,
-    max_epsilon: f64,
-    max_delta: f64,
-    labels: Vec<String>,
-    closed: bool,
+    scope: SharedParallelScope<'s>,
 }
 
 impl ParallelFits<'_> {
@@ -511,7 +513,7 @@ impl ParallelFits<'_> {
         E: DpEstimator + ?Sized,
         R: Rng,
     {
-        self.debit_shard(label, estimator)?;
+        self.admit(label, estimator)?;
         estimator.fit(shard, rng)
     }
 
@@ -530,135 +532,67 @@ impl ParallelFits<'_> {
         E: DpEstimator + ?Sized,
         R: Rng,
     {
-        self.debit_shard(label, estimator)?;
+        self.admit(label, estimator)?;
         estimator.fit_stream(shard, rng)
     }
 
     /// The scope's running `(max ε, max δ)` — what closing it will record.
     #[must_use]
     pub fn composed(&self) -> (f64, f64) {
-        (self.max_epsilon, self.max_delta)
+        self.scope.composed()
     }
 
     /// Number of shard fits recorded in this scope.
     #[must_use]
     pub fn num_shards(&self) -> usize {
-        self.labels.len()
+        self.scope.num_shards()
     }
 
-    /// Closes the scope, committing its `(max ε, max δ)` ledger entry
-    /// (a no-op scope with no private shard fits records nothing).
-    pub fn finish(mut self) {
-        self.commit();
+    /// Closes the scope, recording its `(max ε, max δ)` release (a scope
+    /// with no private shard fits records nothing).
+    pub fn finish(self) {
+        // Settling a WAL-less reservation cannot fail.
+        let _ = self.scope.finish();
     }
 
-    fn debit_shard<E: DpEstimator + ?Sized>(&mut self, label: &str, estimator: &E) -> Result<()> {
-        let Some(epsilon) = estimator.epsilon() else {
-            return Ok(()); // non-private: no debit, no disjointness claim
-        };
-        if self.labels.iter().any(|l| l == label) {
-            return Err(FmError::InvalidConfig {
-                name: "shard",
-                reason: format!(
-                    "shard `{label}` was already fitted in this parallel-composition scope; \
-                     overlapping shards must compose sequentially"
-                ),
-            });
+    /// Admits a shard fit on the scope; non-private estimators are neither
+    /// debited nor labelled.
+    fn admit<E: DpEstimator + ?Sized>(&mut self, label: &str, estimator: &E) -> Result<()> {
+        match estimator.epsilon() {
+            Some(epsilon) => self
+                .scope
+                .admit(label, epsilon, estimator.delta().unwrap_or(0.0)),
+            None => Ok(()),
         }
-        // Validate the full (ε, δ) pair before committing anywhere.
-        let entry = fm_privacy::budget::EpsDeltaEntry::validated(
-            epsilon,
-            estimator.delta().unwrap_or(0.0),
-        )?;
-        // Incremental max: only the *increase* over the running maximum is
-        // new spending under parallel composition.
-        let increment = (epsilon - self.max_epsilon).max(0.0);
-        if increment > 0.0 {
-            if let Some(budget) = &mut self.session.budget {
-                budget.spend(increment)?;
-            }
-        }
-        self.max_epsilon = self.max_epsilon.max(epsilon);
-        self.max_delta = self.max_delta.max(entry.delta);
-        self.labels.push(label.to_string());
-        Ok(())
-    }
-
-    fn commit(&mut self) {
-        if self.closed {
-            return;
-        }
-        self.closed = true;
-        if self.labels.is_empty() {
-            return;
-        }
-        if let Ok(entry) =
-            fm_privacy::budget::EpsDeltaEntry::validated(self.max_epsilon, self.max_delta)
-        {
-            self.session.ledger.record_entry(entry);
-            // A parallel scope's joint release has no single known Rényi
-            // curve once shards mix mechanism families, so it enters the
-            // moments account as an opaque record (basic composition) —
-            // conservative but always sound.
-            let _ = self
-                .session
-                .rdp
-                .record_opaque(self.max_epsilon, self.max_delta);
-            self.session.fits += 1;
-        }
-    }
-}
-
-impl Drop for ParallelFits<'_> {
-    fn drop(&mut self) {
-        self.commit();
     }
 }
 
 // ---------------------------------------------------------------------------
-// Shared (concurrent, optionally WAL-backed) sessions
+// The accounting core: shared (concurrent, optionally WAL-backed) sessions
 // ---------------------------------------------------------------------------
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-use fm_privacy::budget::EpsDeltaEntry;
-use fm_privacy::wal::{CompactionPolicy, RecoveryReport, WalLedger, WalStats};
-
-/// One unit of the integer budget counter: 10⁻¹² ε. The running total is
-/// kept in **whole quanta** (a plain `u64`), so reserve→abort round-trips
-/// restore the exact prior value bit-for-bit — no float-addition drift,
-/// no `.max(0.0)` clamp silently absorbing double-refunds, and no
-/// per-admission slack for tiny reserve/abort cycles to accumulate into
-/// a cap overshoot. Each individual debit is quantized once
-/// (round-to-nearest, error ≤ 5·10⁻¹³ ε, far below any meaningful
-/// privacy resolution); the integer arithmetic after that is exact.
-const EPS_QUANTUM: f64 = 1e-12;
-
-/// Rounds an ε to whole quanta. Validated ε is finite and ≥ 0; values so
-/// large they would overflow the counter saturate (and then fail cap
-/// checks / `checked_add`, refusing the admission rather than wrapping).
-fn eps_to_units(epsilon: f64) -> u64 {
-    let units = (epsilon / EPS_QUANTUM).round();
-    if units >= 9.0e18 {
-        9_000_000_000_000_000_000
-    } else {
-        units as u64
-    }
-}
-
-/// The ε an integer quanta count represents.
-fn units_to_eps(units: u64) -> f64 {
-    // u64 → f64 rounds above 2⁵³ quanta (ε > ~9000); still monotone.
-    #[allow(clippy::cast_precision_loss)]
-    let units = units as f64;
-    units * EPS_QUANTUM
+/// How a reservation enters the audit trail when it commits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Release {
+    /// One release with the Rényi curve [`record_renyi`] assigns.
+    Curve,
+    /// One release of lost provenance (crash-recovered): an opaque,
+    /// basic-composed record in the moments account.
+    Opaque,
+    /// One ε increment of a [`SharedParallelScope`]: committed through the
+    /// WAL on its own, but recorded only as part of the scope's single
+    /// `(max ε, max δ)` release.
+    ScopePart,
+    /// A [`Release::ScopePart`] whose scope closed while its WAL commit
+    /// failed: the scope's release already counts it, so it stays open
+    /// only until the WAL records the commit — sealed, and never counted
+    /// again.
+    Recorded,
 }
 
 /// A reservation the session is tracking but has not yet settled —
 /// in-flight budget, counted as **spent** until committed or aborted.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct OpenReservation {
     tenant: String,
     epsilon: f64,
@@ -670,11 +604,7 @@ struct OpenReservation {
     /// Recovered-dangling reservations are permanently spent
     /// (fail-closed): resumable and committable, never abortable.
     sealed: bool,
-    /// Enters the moments account as an opaque (basic-composed) record
-    /// on commit instead of a Rényi curve — parallel-scope increments
-    /// (no per-increment curve is sound) and crash-recovered
-    /// reservations (their provenance is gone).
-    opaque_rdp: bool,
+    release: Release,
 }
 
 #[derive(Debug)]
@@ -683,16 +613,23 @@ struct SharedInner {
     /// Rényi curves of every **committed** release (see [`record_renyi`]).
     rdp: RdpLedger,
     wal: Option<WalLedger>,
-    /// Committed `(ε, δ, fits)` per tenant.
-    tenants: BTreeMap<String, (f64, f64, usize)>,
+    /// Committed `(Σε, Σδ)` per tenant.
+    tenants: BTreeMap<String, (f64, f64)>,
     /// In-flight reservations, by id (mirrors the WAL's open set; the
     /// only store for WAL-less sessions).
     open: BTreeMap<u64, OpenReservation>,
-    /// Ids currently held by a live [`FitPermit`] — refuses double-attach.
+    /// Ids currently held by a live [`BudgetPermit`] or
+    /// [`SharedParallelScope`] — refuses double-attach.
     attached: BTreeSet<u64>,
     /// Id source for WAL-less sessions (the WAL allocates its own).
     next_local_id: u64,
     fits: usize,
+}
+
+/// A [`fm_privacy::PrivacyError::Durability`] error for settlement and
+/// reconciliation failures.
+fn durability(op: &'static str, detail: String) -> FmError {
+    FmError::Privacy(fm_privacy::PrivacyError::Durability { op, detail })
 }
 
 impl SharedInner {
@@ -709,10 +646,12 @@ impl SharedInner {
     ) -> Result<MomentsAccount> {
         let mut projected = self.rdp.clone();
         for r in self.open.values() {
-            if r.opaque_rdp {
-                let _ = projected.record_opaque(r.epsilon, r.delta);
-            } else {
-                record_renyi(&mut projected, r.epsilon, r.delta);
+            match r.release {
+                Release::Curve => record_renyi(&mut projected, r.epsilon, r.delta),
+                Release::Opaque | Release::ScopePart => {
+                    let _ = projected.record_opaque(r.epsilon, r.delta);
+                }
+                Release::Recorded => {}
             }
         }
         if let Some((epsilon, delta)) = candidate {
@@ -720,31 +659,96 @@ impl SharedInner {
         }
         Ok(projected.convert(target_delta)?)
     }
+
+    /// Books one committed release: tenant totals, the (ε, δ) ledger, the
+    /// moments account and the fit count.
+    fn record(&mut self, tenant: String, epsilon: f64, delta: f64, opaque: bool) {
+        let slot = self.tenants.entry(tenant).or_insert((0.0, 0.0));
+        slot.0 += epsilon;
+        slot.1 += delta;
+        if let Ok(entry) = EpsDeltaEntry::validated(epsilon, delta) {
+            self.ledger.record_entry(entry);
+        }
+        if opaque {
+            let _ = self.rdp.record_opaque(epsilon, delta);
+        } else {
+            record_renyi(&mut self.rdp, epsilon, delta);
+        }
+        self.fits += 1;
+    }
+
+    /// Settles reservation `id` **exactly once**, returning the quanta
+    /// the caller must refund to the spent counter (0 for a commit).
+    /// Abort is refused for sealed reservations; a second settlement of
+    /// the same id errors (the open-set entry is gone), so a double
+    /// refund cannot occur. On failure the reservation stays open — still
+    /// counted spent — and a later resume can settle it.
+    fn settle(&mut self, id: u64, commit: bool) -> Result<u64> {
+        // The caller's permit or scope is consumed whatever happens below,
+        // so the id is no longer attached.
+        self.attached.remove(&id);
+        let op = if commit { "commit" } else { "abort" };
+        let Some(open) = self.open.remove(&id) else {
+            return Err(durability(
+                op,
+                format!("reservation {id} is unknown or already settled"),
+            ));
+        };
+        if !commit && open.sealed {
+            self.open.insert(id, open);
+            return Err(durability(
+                op,
+                format!(
+                    "reservation {id} is sealed (recovered from a crash, or part of \
+                     a closed parallel scope): its fit may have touched data, so \
+                     its budget is permanently spent (commit or resume instead)"
+                ),
+            ));
+        }
+        let logged = match &mut self.wal {
+            Some(wal) if commit => wal.commit(id),
+            Some(wal) => wal.abort(id),
+            None => Ok(()),
+        };
+        if let Err(e) = logged {
+            self.open.insert(id, open);
+            return Err(e.into());
+        }
+        if !commit {
+            return Ok(open.units);
+        }
+        match open.release {
+            Release::Curve => self.record(open.tenant, open.epsilon, open.delta, false),
+            Release::Opaque => self.record(open.tenant, open.epsilon, open.delta, true),
+            Release::ScopePart | Release::Recorded => {}
+        }
+        Ok(0)
+    }
 }
 
-/// A **concurrent, crash-safe** privacy session: many tenants × many
-/// threads admit or refuse fits against one shared budget without a
-/// global `&mut`, and (optionally) every debit is made durable through a
-/// [`WalLedger`] *before* any data is scanned.
-///
-/// Where [`PrivacySession`] is single-threaded bookkeeping for one
-/// experiment harness, `SharedPrivacySession` is the silo-side admission
-/// controller:
+/// A **concurrent, crash-safe** privacy session — the one accounting
+/// core: many tenants × many threads admit or refuse fits against one
+/// shared budget without a global `&mut`, and (optionally) every debit is
+/// made durable through a [`WalLedger`] *before* any data is scanned.
+/// [`PrivacySession`] is its single-owner face for experiment harnesses.
 ///
 /// * **Admission is lock-free and exact**: the running ε total lives in
-///   an [`AtomicU64`] counting integer quanta of 10⁻¹² ε (CAS loop), so
-///   concurrent [`SharedPrivacySession::begin`] calls race on a
-///   compare-exchange, not a lock — the cap can never be oversubscribed
-///   (strictly: admitted totals never exceed the cap's own quantization,
-///   with no per-admission slack), refusal happens *before* any scan or
-///   noise draw, and a reserve→abort round-trip restores the exact
-///   pre-reserve total bit-for-bit.
+///   an [`AtomicU64`] counting integer quanta of 10⁻¹² ε
+///   ([`fm_privacy::budget::eps_to_units`], CAS loop), so concurrent
+///   [`SharedPrivacySession::begin`] calls race on a compare-exchange,
+///   not a lock — the cap can never be oversubscribed (strictly: admitted
+///   quanta never exceed the cap's; each debit is truncated to whole
+///   quanta, so a cap of k·ε holds k fits at ε, and every admission
+///   debits at least one quantum), refusal happens *before* any scan or noise draw, and a
+///   reserve→abort round-trip restores the exact pre-reserve total
+///   bit-for-bit.
 /// * **Two-phase debits**: `begin` reserves (fsync'd to the WAL when one
-///   is attached), the returned [`FitPermit`] settles — [`FitPermit::commit`]
-///   after the release is published, [`FitPermit::abort`] only if the
-///   fit provably never touched data. **Dropping a permit commits it**:
-///   losing track of an in-flight fit must never refund budget that a
-///   mechanism may have spent (fail-closed).
+///   is attached), the returned [`BudgetPermit`] settles —
+///   [`BudgetPermit::commit`] after the release is published,
+///   [`BudgetPermit::abort`] only if the fit provably never touched data.
+///   **Dropping a permit commits it**: losing track of an in-flight fit
+///   must never refund budget that a mechanism may have spent
+///   (fail-closed).
 /// * **Crash-safe**: reopening the WAL replays history; reservations that
 ///   were in flight at the crash come back **sealed** — still counted
 ///   spent, resumable via [`SharedPrivacySession::resume_reservation`]
@@ -848,7 +852,7 @@ impl SharedPrivacySession {
                     inner.ledger.record_entry(entry);
                 }
                 let _ = inner.rdp.record_opaque(eps, delta);
-                inner.tenants.insert(tenant.to_string(), (eps, delta, fits));
+                inner.tenants.insert(tenant.to_string(), (eps, delta));
                 inner.fits += fits;
                 spent_units = spent_units.saturating_add(eps_to_units(eps));
             }
@@ -863,7 +867,7 @@ impl SharedPrivacySession {
                         delta: r.delta,
                         units,
                         sealed: r.sealed,
-                        opaque_rdp: true,
+                        release: Release::Opaque,
                     },
                 );
             }
@@ -871,11 +875,22 @@ impl SharedPrivacySession {
         }
         SharedPrivacySession {
             cap,
-            cap_units: cap.map(eps_to_units),
+            cap_units: cap.map(cap_to_units),
             rdp_admission: None,
             spent_units: AtomicU64::new(spent_units),
             inner: Mutex::new(inner),
         }
+    }
+
+    /// The session lock. The spent counter is raised before a
+    /// reservation enters the books and lowered only after an abort has
+    /// left them, so a thread that panicked under the lock can leave the
+    /// books short of a ledger entry but never the counter short of a
+    /// debit: a poisoned lock is entered, not propagated.
+    fn lock(&self) -> MutexGuard<'_, SharedInner> {
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Switches cap admission from the naive running Σε to the **moments
@@ -905,6 +920,15 @@ impl SharedPrivacySession {
         Ok(self)
     }
 
+    /// The one naive-cap comparison: the running total after debiting
+    /// `units` more quanta on top of `spent`, or `None` when that would
+    /// pass the cap (or overflow the counter).
+    fn within_cap(&self, spent: u64, units: u64) -> Option<u64> {
+        spent
+            .checked_add(units)
+            .filter(|&total| self.cap_units.map_or(true, |cap| total <= cap))
+    }
+
     /// Lock-free cap admission: atomically raises the running total by
     /// `units` quanta, refusing (without side effects) when the integer
     /// cap would be exceeded. Under RDP admission the naive cap check is
@@ -914,24 +938,21 @@ impl SharedPrivacySession {
     fn try_spend(&self, units: u64) -> Result<()> {
         let mut cur = self.spent_units.load(Ordering::Acquire);
         loop {
-            let exhausted = |spent_units: u64| {
-                FmError::Privacy(fm_privacy::PrivacyError::BudgetExhausted {
-                    requested: units_to_eps(units),
-                    remaining: self
-                        .cap
-                        .map_or(0.0, |cap| (cap - units_to_eps(spent_units)).max(0.0)),
-                })
+            let admitted = if self.rdp_admission.is_none() {
+                self.within_cap(cur, units)
+            } else {
+                cur.checked_add(units)
             };
-            let Some(new) = cur.checked_add(units) else {
-                return Err(exhausted(cur));
+            let Some(new) = admitted else {
+                return Err(FmError::Privacy(
+                    fm_privacy::PrivacyError::BudgetExhausted {
+                        requested: units_to_eps(units),
+                        remaining: self
+                            .cap
+                            .map_or(0.0, |cap| (cap - units_to_eps(cur)).max(0.0)),
+                    },
+                ));
             };
-            if self.rdp_admission.is_none() {
-                if let Some(cap_units) = self.cap_units {
-                    if new > cap_units {
-                        return Err(exhausted(cur));
-                    }
-                }
-            }
             match self.spent_units.compare_exchange_weak(
                 cur,
                 new,
@@ -987,27 +1008,57 @@ impl SharedPrivacySession {
         epsilon: f64,
         delta: f64,
     ) -> Result<FitPermit<'_>> {
-        self.begin_with(tenant, label, epsilon, delta, false)
+        let (id, epsilon) = self.admit_fit(tenant, label, epsilon, delta)?;
+        Ok(BudgetPermit::new(self, id, epsilon))
     }
 
-    /// [`SharedPrivacySession::begin`] plus the `opaque_rdp` marker for
-    /// reservations that must enter the moments account as basic-composed
-    /// records (parallel-scope increments).
-    fn begin_with(
-        &self,
+    /// [`SharedPrivacySession::begin`] for sessions shared behind an
+    /// [`Arc`]: identical admission (same lock-free CAS, same
+    /// refuse-before-scan durability), but the returned
+    /// [`OwnedFitPermit`] carries its own session handle instead of a
+    /// borrow — what a service hands to a worker thread along with the
+    /// job.
+    ///
+    /// # Errors
+    /// As [`SharedPrivacySession::begin`].
+    pub fn begin_owned(
+        self: &Arc<Self>,
         tenant: &str,
         label: &str,
         epsilon: f64,
         delta: f64,
-        opaque_rdp: bool,
-    ) -> Result<FitPermit<'_>> {
+    ) -> Result<OwnedFitPermit> {
+        let (id, epsilon) = self.admit_fit(tenant, label, epsilon, delta)?;
+        Ok(BudgetPermit::new(Arc::clone(self), id, epsilon))
+    }
+
+    /// The admission both `begin` flavours share: validate, then reserve
+    /// the ε truncated to quanta. Returns the reservation id and its ε.
+    fn admit_fit(&self, tenant: &str, label: &str, epsilon: f64, delta: f64) -> Result<(u64, f64)> {
         let entry = EpsDeltaEntry::validated(epsilon, delta)?;
-        let units = eps_to_units(entry.epsilon);
+        let id = self.reserve(
+            tenant,
+            label,
+            entry,
+            eps_to_units(entry.epsilon),
+            Release::Curve,
+        )?;
+        Ok((id, entry.epsilon))
+    }
+
+    /// Debits `units` quanta for a validated `entry` and opens its
+    /// reservation (WAL-fsync'd when a log is attached), attached to the
+    /// caller. Every failure rolls the atomic admission back.
+    fn reserve(
+        &self,
+        tenant: &str,
+        label: &str,
+        entry: EpsDeltaEntry,
+        units: u64,
+        release: Release,
+    ) -> Result<u64> {
         self.try_spend(units)?;
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = self.lock();
         if let (Some(target_delta), Some(cap)) = (self.rdp_admission, self.cap) {
             // Moments-accountant admission: the converted ε over committed
             // + in-flight + this candidate must stay within the cap.
@@ -1059,16 +1110,11 @@ impl SharedPrivacySession {
                 delta: entry.delta,
                 units,
                 sealed: false,
-                opaque_rdp,
+                release,
             },
         );
         inner.attached.insert(id);
-        Ok(FitPermit {
-            session: self,
-            id,
-            epsilon: entry.epsilon,
-            settled: false,
-        })
+        Ok(id)
     }
 
     /// Re-attaches to a reservation that is already counted as spent —
@@ -1077,98 +1123,60 @@ impl SharedPrivacySession {
     /// snapshot. **Never re-debits**: the budget was spent when the
     /// original `begin` ran; the permit returned here merely lets the
     /// resumed fit settle it. Sealed reservations refuse
-    /// [`FitPermit::abort`] (the interrupted fit may have touched data).
+    /// [`BudgetPermit::abort`] (the interrupted fit may have touched
+    /// data).
     ///
     /// # Errors
     /// [`FmError::Privacy`] ([`fm_privacy::PrivacyError::Durability`])
     /// when `id` is unknown, already settled, or already attached to a
     /// live permit.
     pub fn resume_reservation(&self, id: u64) -> Result<FitPermit<'_>> {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let Some(open) = inner.open.get(&id) else {
-            return Err(FmError::Privacy(fm_privacy::PrivacyError::Durability {
-                op: "resume",
-                detail: format!("reservation {id} is unknown or already settled"),
-            }));
-        };
-        let epsilon = open.epsilon;
-        if !inner.attached.insert(id) {
-            return Err(FmError::Privacy(fm_privacy::PrivacyError::Durability {
-                op: "resume",
-                detail: format!("reservation {id} is already attached to a live permit"),
-            }));
-        }
-        Ok(FitPermit {
-            session: self,
-            id,
-            epsilon,
-            settled: false,
-        })
+        let epsilon = self.attach(id)?;
+        Ok(BudgetPermit::new(self, id, epsilon))
     }
 
-    /// Settles a permit **exactly once**. `commit = false` (abort) is
-    /// refused for sealed reservations and rolls the atomic admission
-    /// back by the reservation's exact debited quanta on success; a
-    /// second settlement of the same id errors (the open-set entry is
-    /// gone), so a double-refund cannot occur.
-    fn settle(&self, id: u64, commit: bool) -> Result<()> {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // The caller's permit is consumed whatever happens below, so the
-        // id is no longer attached — on failure the reservation stays
-        // open (still spent) and a later resume_reservation can settle it.
-        inner.attached.remove(&id);
-        let Some(open) = inner.open.get(&id).cloned() else {
-            return Err(FmError::Privacy(fm_privacy::PrivacyError::Durability {
-                op: if commit { "commit" } else { "abort" },
-                detail: format!("reservation {id} is unknown or already settled"),
-            }));
+    /// [`SharedPrivacySession::resume_reservation`], owned-permit flavour
+    /// (see [`SharedPrivacySession::begin_owned`]). Never re-debits.
+    ///
+    /// # Errors
+    /// As [`SharedPrivacySession::resume_reservation`].
+    pub fn resume_reservation_owned(self: &Arc<Self>, id: u64) -> Result<OwnedFitPermit> {
+        let epsilon = self.attach(id)?;
+        Ok(BudgetPermit::new(Arc::clone(self), id, epsilon))
+    }
+
+    /// Attaches open reservation `id` to a new permit, returning its ε.
+    fn attach(&self, id: u64) -> Result<f64> {
+        let mut inner = self.lock();
+        let Some(epsilon) = inner.open.get(&id).map(|open| open.epsilon) else {
+            return Err(durability(
+                "resume",
+                format!("reservation {id} is unknown or already settled"),
+            ));
         };
-        if commit {
-            if let Some(wal) = &mut inner.wal {
-                wal.commit(id)?;
-            }
-            inner.open.remove(&id);
-            let slot = inner
-                .tenants
-                .entry(open.tenant.clone())
-                .or_insert((0.0, 0.0, 0));
-            slot.0 += open.epsilon;
-            slot.1 += open.delta;
-            slot.2 += 1;
-            if let Ok(entry) = EpsDeltaEntry::validated(open.epsilon, open.delta) {
-                inner.ledger.record_entry(entry);
-            }
-            if open.opaque_rdp {
-                let _ = inner.rdp.record_opaque(open.epsilon, open.delta);
-            } else {
-                record_renyi(&mut inner.rdp, open.epsilon, open.delta);
-            }
-            inner.fits += 1;
-        } else {
-            if open.sealed {
-                return Err(FmError::Privacy(fm_privacy::PrivacyError::Durability {
-                    op: "abort",
-                    detail: format!(
-                        "reservation {id} was recovered from a crash and is sealed: \
-                         the interrupted fit may have touched data, so its budget \
-                         is permanently spent (commit or resume instead)"
-                    ),
-                }));
-            }
-            if let Some(wal) = &mut inner.wal {
-                wal.abort(id)?;
-            }
-            inner.open.remove(&id);
-            drop(inner);
-            self.unspend(open.units);
+        if !inner.attached.insert(id) {
+            return Err(durability(
+                "resume",
+                format!("reservation {id} is already attached to a live permit"),
+            ));
+        }
+        Ok(epsilon)
+    }
+
+    /// Settles a permit's reservation (see [`SharedInner::settle`]),
+    /// refunding an abort's quanta to the spent counter.
+    fn settle(&self, id: u64, commit: bool) -> Result<()> {
+        let refund = self.lock().settle(id, commit)?;
+        if refund > 0 {
+            self.unspend(refund);
         }
         Ok(())
+    }
+
+    /// Releases `id` from its live permit without settling it (see
+    /// [`BudgetPermit::detach`]).
+    fn detach_reservation(&self, id: u64) {
+        self.lock().attached.remove(&id);
     }
 
     /// Total ε currently counted as spent — committed releases **plus**
@@ -1189,13 +1197,11 @@ impl SharedPrivacySession {
         self.cap.map(|c| (c - self.spent_epsilon()).max(0.0))
     }
 
-    /// Committed fits so far (in-flight permits are not yet fits).
+    /// Committed releases so far (in-flight permits are not yet fits; a
+    /// closed parallel scope is one).
     #[must_use]
     pub fn committed_fits(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .fits
+        self.lock().fits
     }
 
     /// `(Σε, Σδ)` counted against `tenant`: committed history plus
@@ -1203,13 +1209,10 @@ impl SharedPrivacySession {
     /// [`SharedPrivacySession::spent_epsilon`]).
     #[must_use]
     pub fn spent_for(&self, tenant: &str) -> (f64, f64) {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let (mut eps, mut delta, _) = inner.tenants.get(tenant).copied().unwrap_or((0.0, 0.0, 0));
+        let inner = self.lock();
+        let (mut eps, mut delta) = inner.tenants.get(tenant).copied().unwrap_or((0.0, 0.0));
         for open in inner.open.values() {
-            if open.tenant == tenant {
+            if open.tenant == tenant && open.release != Release::Recorded {
                 eps += open.epsilon;
                 delta += open.delta;
             }
@@ -1221,17 +1224,15 @@ impl SharedPrivacySession {
     /// advanced-composition slack `delta_prime`. In-flight reservations
     /// are excluded (they have not released anything yet) — use
     /// [`SharedPrivacySession::spent_epsilon`] for the fail-closed total.
-    /// After a WAL recovery, pre-crash history enters as one aggregate
-    /// entry per tenant: Σε is exact and the advanced bound is
-    /// conservative (never tighter than the per-fit bound would be).
+    /// A closed parallel scope is one `(max ε, max δ)` release. After a
+    /// WAL recovery, pre-crash history enters as one aggregate entry per
+    /// tenant: Σε is exact and the advanced bound is conservative (never
+    /// tighter than the per-fit bound would be).
     ///
     /// # Errors
     /// [`FmError::Privacy`] unless `delta_prime ∈ (0, 1)`.
     pub fn report(&self, delta_prime: f64) -> Result<CompositionReport> {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let inner = self.lock();
         let basic = inner.ledger.basic_composition();
         let advanced = inner.ledger.advanced_composition(delta_prime)?;
         let best = inner.ledger.best_composition(delta_prime)?;
@@ -1249,37 +1250,34 @@ impl SharedPrivacySession {
     /// own (float-summed) totals — the drift check that motivated the
     /// integer counter in the first place. The two are computed by
     /// different arithmetic over the same records, so they agree only up
-    /// to one quantization step per record; any larger divergence means
-    /// the admission counter and the durable log have genuinely come
-    /// apart. Call at quiescence: an admission concurrently between its
-    /// counter update and its WAL append shows up as transient drift.
-    /// No-op without a WAL.
+    /// to one quantization step per WAL record (a parallel scope logs one
+    /// record per ε increment); any larger divergence means the admission
+    /// counter and the durable log have genuinely come apart. Call at
+    /// quiescence: an admission concurrently between its counter update
+    /// and its WAL append shows up as transient drift. No-op without a
+    /// WAL.
     ///
     /// # Errors
     /// [`FmError::Privacy`] ([`fm_privacy::PrivacyError::Durability`])
     /// when the totals diverge beyond per-record quantization error.
     pub fn reconcile_wal(&self) -> Result<()> {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let inner = self.lock();
         let Some(wal) = &inner.wal else {
             return Ok(());
         };
-        let wal_epsilon = wal.spent().0;
-        let records = inner.fits + inner.open.len();
+        let (wal_epsilon, records) = (wal.spent().0, wal.fits());
         drop(inner);
         let session_epsilon = self.spent_epsilon();
         #[allow(clippy::cast_precision_loss)]
         let tolerance = (records as f64 + 1.0) * EPS_QUANTUM;
         if (wal_epsilon - session_epsilon).abs() > tolerance {
-            return Err(FmError::Privacy(fm_privacy::PrivacyError::Durability {
-                op: "reconcile",
-                detail: format!(
+            return Err(durability(
+                "reconcile",
+                format!(
                     "session spent counter {session_epsilon} and WAL total {wal_epsilon} \
                      diverge beyond quantization tolerance {tolerance}"
                 ),
-            }));
+            ));
         }
         Ok(())
     }
@@ -1291,11 +1289,7 @@ impl SharedPrivacySession {
     /// # Errors
     /// [`FmError::Privacy`] on WAL I/O failure.
     pub fn compact_wal(&self) -> Result<()> {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(wal) = &mut inner.wal {
+        if let Some(wal) = &mut self.lock().wal {
             wal.compact()?;
         }
         Ok(())
@@ -1305,23 +1299,18 @@ impl SharedPrivacySession {
     /// what a background [`CompactionPolicy`] consults.
     #[must_use]
     pub fn wal_stats(&self) -> Option<WalStats> {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.wal.as_ref().map(WalLedger::stats)
+        self.lock().wal.as_ref().map(WalLedger::stats)
     }
 
-    /// Open reservations **not** attached to a live permit: crash-recovered
-    /// (sealed) reservations awaiting [`SharedPrivacySession::resume_reservation`],
-    /// plus reservations a checkpointing shutdown detached
-    /// ([`FitPermit::detach`]). All still counted as spent.
+    /// Open reservations **not** attached to a live permit: sealed
+    /// reservations (crash-recovered, or increments of a closed parallel
+    /// scope whose WAL commit failed) awaiting
+    /// [`SharedPrivacySession::resume_reservation`], plus reservations a
+    /// checkpointing shutdown detached ([`BudgetPermit::detach`]). All
+    /// still counted as spent.
     #[must_use]
     pub fn dangling_reservations(&self) -> usize {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let inner = self.lock();
         inner
             .open
             .keys()
@@ -1343,10 +1332,7 @@ impl SharedPrivacySession {
     /// [`FmError::Privacy`] on WAL I/O failure during the rewrite (the
     /// original log is untouched on failure).
     pub fn maybe_compact_wal(&self, policy: &CompactionPolicy) -> Result<bool> {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = self.lock();
         let SharedInner {
             wal,
             open,
@@ -1366,56 +1352,12 @@ impl SharedPrivacySession {
         Ok(true)
     }
 
-    /// [`SharedPrivacySession::begin`] for sessions shared behind an
-    /// [`Arc`](std::sync::Arc): identical admission (same lock-free CAS,
-    /// same refuse-before-scan durability), but the returned
-    /// [`OwnedFitPermit`] carries its own session handle instead of a
-    /// borrow — what a service hands to a worker thread along with the
-    /// job.
-    ///
-    /// # Errors
-    /// As [`SharedPrivacySession::begin`].
-    pub fn begin_owned(
-        self: &std::sync::Arc<Self>,
-        tenant: &str,
-        label: &str,
-        epsilon: f64,
-        delta: f64,
-    ) -> Result<OwnedFitPermit> {
-        let permit = self.begin(tenant, label, epsilon, delta)?;
-        Ok(OwnedFitPermit::adopt(std::sync::Arc::clone(self), permit))
-    }
-
-    /// [`SharedPrivacySession::resume_reservation`], owned-permit flavour
-    /// (see [`SharedPrivacySession::begin_owned`]). Never re-debits.
-    ///
-    /// # Errors
-    /// As [`SharedPrivacySession::resume_reservation`].
-    pub fn resume_reservation_owned(
-        self: &std::sync::Arc<Self>,
-        id: u64,
-    ) -> Result<OwnedFitPermit> {
-        let permit = self.resume_reservation(id)?;
-        Ok(OwnedFitPermit::adopt(std::sync::Arc::clone(self), permit))
-    }
-
-    /// Releases `id` from its live permit without settling it (see
-    /// [`FitPermit::detach`]).
-    fn detach_reservation(&self, id: u64) {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.attached.remove(&id);
-    }
-
     /// Opens a **parallel-composition** scope for `tenant`: fits on
     /// provably disjoint shards admitted through it cost `max εᵢ` in
-    /// total, debited incrementally (each shard pays only the amount by
-    /// which it raises the running maximum, reserved through the WAL
-    /// *before* the shard fit runs and committed when the scope closes).
-    /// Labels enforce the code-checkable half of disjointness exactly as
-    /// [`PrivacySession::parallel_fits`] does.
+    /// total. This is the one scope implementation — a
+    /// [`PrivacySession::parallel_fits`] scope is one of these. Labels
+    /// enforce the code-checkable half of disjointness (no label twice);
+    /// see [`SharedParallelScope`] for the debit and report mechanics.
     #[must_use]
     pub fn parallel_scope(&self, tenant: &str) -> SharedParallelScope<'_> {
         SharedParallelScope {
@@ -1423,6 +1365,7 @@ impl SharedPrivacySession {
             tenant: tenant.to_string(),
             max_epsilon: 0.0,
             max_delta: 0.0,
+            max_units: 0,
             labels: Vec::new(),
             increments: Vec::new(),
             closed: false,
@@ -1431,26 +1374,48 @@ impl SharedPrivacySession {
 }
 
 /// A granted, unsettled budget reservation (see
-/// [`SharedPrivacySession::begin`]). Exactly one of three things happens
-/// to it:
+/// [`SharedPrivacySession::begin`]), generic over how it holds its
+/// session: [`FitPermit`] borrows it, [`OwnedFitPermit`] shares it through
+/// an [`Arc`] so a service can move the permit into a worker-thread job
+/// that outlives the submitting stack frame. Exactly one of four things
+/// happens to it:
 ///
-/// * [`FitPermit::commit`] — the fit released a model; the spend becomes
-///   committed history.
-/// * [`FitPermit::abort`] — the fit provably never touched data (e.g. its
-///   source failed before the first block); the budget is reclaimed.
-///   Refused for sealed (crash-recovered) reservations.
+/// * [`BudgetPermit::commit`] — the fit released a model; the spend
+///   becomes committed history.
+/// * [`BudgetPermit::abort`] — the fit provably never touched data (e.g.
+///   its source failed before the first block); the budget is reclaimed.
+///   Refused for sealed reservations (crash-recovered, or increments of
+///   a closed parallel scope).
+/// * [`BudgetPermit::detach`] — a checkpointing shutdown leaves the
+///   reservation open and resumable.
 /// * **Drop** — treated as commit. Losing a permit must never refund
 ///   budget a mechanism may have spent (fail-closed).
 #[derive(Debug)]
 #[must_use = "a dropped permit commits its debit; settle it explicitly"]
-pub struct FitPermit<'s> {
-    session: &'s SharedPrivacySession,
+pub struct BudgetPermit<S: Deref<Target = SharedPrivacySession>> {
+    session: S,
     id: u64,
     epsilon: f64,
     settled: bool,
 }
 
-impl FitPermit<'_> {
+/// A [`BudgetPermit`] that borrows its session.
+pub type FitPermit<'s> = BudgetPermit<&'s SharedPrivacySession>;
+
+/// A [`BudgetPermit`] that owns a handle to a session shared behind an
+/// [`Arc`] (see [`SharedPrivacySession::begin_owned`]).
+pub type OwnedFitPermit = BudgetPermit<Arc<SharedPrivacySession>>;
+
+impl<S: Deref<Target = SharedPrivacySession>> BudgetPermit<S> {
+    fn new(session: S, id: u64, epsilon: f64) -> Self {
+        BudgetPermit {
+            session,
+            id,
+            epsilon,
+            settled: false,
+        }
+    }
+
     /// The reservation id — durable across crashes when the session has a
     /// WAL; carry it in streaming-fit checkpoints
     /// ([`crate::estimator::PartialFit::with_reservation`]) so a resumed
@@ -1503,13 +1468,12 @@ impl FitPermit<'_> {
     #[must_use = "carry the returned id (or a checkpoint embedding it) to resume later"]
     pub fn detach(mut self) -> u64 {
         self.settled = true;
-        let id = self.id;
-        self.session.detach_reservation(id);
-        id
+        self.session.detach_reservation(self.id);
+        self.id
     }
 }
 
-impl Drop for FitPermit<'_> {
+impl<S: Deref<Target = SharedPrivacySession>> Drop for BudgetPermit<S> {
     fn drop(&mut self) {
         if !self.settled {
             // Fail-closed: an abandoned permit commits. Errors are
@@ -1520,102 +1484,34 @@ impl Drop for FitPermit<'_> {
     }
 }
 
-/// An owning, `'static` flavour of [`FitPermit`] for sessions shared
-/// behind an [`Arc`](std::sync::Arc) (see
-/// [`SharedPrivacySession::begin_owned`]): carries its session handle, so
-/// a service can move the permit into a worker-thread job that outlives
-/// the submitting stack frame. Settlement semantics are identical —
-/// commit, abort (refused when sealed), detach-for-checkpoint, and
-/// **drop commits** (fail-closed).
-#[derive(Debug)]
-#[must_use = "a dropped permit commits its debit; settle it explicitly"]
-pub struct OwnedFitPermit {
-    session: std::sync::Arc<SharedPrivacySession>,
-    id: u64,
-    epsilon: f64,
-    settled: bool,
-}
-
-impl OwnedFitPermit {
-    /// Transfers settlement duty from a borrowed permit to an owned one.
-    fn adopt(session: std::sync::Arc<SharedPrivacySession>, mut permit: FitPermit<'_>) -> Self {
-        // The borrowed permit's Drop must not settle: this permit now owns
-        // the reservation.
-        permit.settled = true;
-        let (id, epsilon) = (permit.id, permit.epsilon);
-        OwnedFitPermit {
-            session,
-            id,
-            epsilon,
-            settled: false,
-        }
-    }
-
-    /// The reservation id (see [`FitPermit::id`]).
-    #[must_use]
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The ε this permit reserved.
-    #[must_use]
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// Settles the reservation as spent-and-released (see
-    /// [`FitPermit::commit`]).
-    ///
-    /// # Errors
-    /// As [`FitPermit::commit`].
-    pub fn commit(mut self) -> Result<()> {
-        self.settled = true;
-        self.session.settle(self.id, true)
-    }
-
-    /// Reclaims the reservation — legal **only** when the fit never
-    /// touched data (see [`FitPermit::abort`]).
-    ///
-    /// # Errors
-    /// As [`FitPermit::abort`].
-    pub fn abort(mut self) -> Result<()> {
-        self.settled = true;
-        self.session.settle(self.id, false)
-    }
-
-    /// Consumes the permit without settling, leaving the reservation open
-    /// and resumable (see [`FitPermit::detach`]).
-    #[must_use = "carry the returned id (or a checkpoint embedding it) to resume later"]
-    pub fn detach(mut self) -> u64 {
-        self.settled = true;
-        let id = self.id;
-        self.session.detach_reservation(id);
-        id
-    }
-}
-
-impl Drop for OwnedFitPermit {
-    fn drop(&mut self) {
-        if !self.settled {
-            // Fail-closed, exactly as FitPermit.
-            let _ = self.session.settle(self.id, true);
-        }
-    }
-}
-
 /// An open parallel-composition scope on a [`SharedPrivacySession`] (see
-/// [`SharedPrivacySession::parallel_scope`]): shard admissions debit only
-/// increments of the running `max εᵢ`, each increment WAL-reserved before
-/// the shard runs, all committed when the scope closes. Dropping the
-/// scope commits too (fail-closed — increments are never refunded).
+/// [`SharedPrivacySession::parallel_scope`]) — the one scope both session
+/// APIs use.
+///
+/// * **Debits**: a shard admission debits only the quanta by which its ε
+///   raises the scope's running maximum. Each such increment is reserved
+///   on its own (atomically admitted and WAL-fsync'd) *before* the shard
+///   runs, and committed through the WAL on its own when the scope
+///   closes, so the committed increments sum to exactly the quanta of
+///   `max ε`.
+/// * **Report**: closing the scope — [`SharedParallelScope::finish`] or
+///   drop — records exactly one release: one `(max ε, max δ)` ledger
+///   entry, one opaque moments-account record (shards may mix mechanism
+///   families, so no single Rényi curve is sound) and one fit. The
+///   increments are never reported as separate releases: they are pieces
+///   of one max-ε release, and composing them would understate its cost.
+/// * **Fail-closed**: dropping the scope commits too; increments are
+///   never refunded.
 pub struct SharedParallelScope<'s> {
     session: &'s SharedPrivacySession,
     tenant: String,
     max_epsilon: f64,
     max_delta: f64,
+    /// `max_epsilon` in quanta — the sum of the reserved increments.
+    max_units: u64,
     labels: Vec<String>,
-    /// Open increment reservations `(id, ε)` awaiting scope close.
-    increments: Vec<(u64, f64)>,
+    /// Open increment reservation ids awaiting scope close.
+    increments: Vec<u64>,
     closed: bool,
 }
 
@@ -1641,22 +1537,23 @@ impl SharedParallelScope<'_> {
                 ),
             });
         }
-        let increment = (entry.epsilon - self.max_epsilon).max(0.0);
-        if increment > 0.0 {
-            // Reserve the increment exactly as a standalone fit would —
-            // atomically admitted, WAL-fsync'd, rolled back on failure.
-            // Marked opaque for the moments account: increments of one
-            // parallel release have no sound per-increment Rényi curve.
-            let permit = self.session.begin_with(
+        let units = eps_to_units(entry.epsilon);
+        if units > self.max_units {
+            // Quanta are monotone in ε, so a larger count means a larger ε
+            // and the increment below is positive.
+            let increment = EpsDeltaEntry {
+                epsilon: entry.epsilon - self.max_epsilon,
+                delta: entry.delta.max(self.max_delta) - self.max_delta,
+            };
+            let id = self.session.reserve(
                 &self.tenant,
                 &format!("{}+{label}", self.labels.len()),
                 increment,
-                entry.delta.max(self.max_delta) - self.max_delta,
-                true,
+                units - self.max_units,
+                Release::ScopePart,
             )?;
-            self.increments.push((permit.id(), increment));
-            // The scope, not the permit, owns settlement.
-            std::mem::forget(permit);
+            self.increments.push(id);
+            self.max_units = units;
         }
         self.max_epsilon = self.max_epsilon.max(entry.epsilon);
         self.max_delta = self.max_delta.max(entry.delta);
@@ -1685,13 +1582,15 @@ impl SharedParallelScope<'_> {
         &self.labels
     }
 
-    /// Closes the scope, committing every increment reservation. (Σ of
-    /// the committed increments = the scope's `max ε` — the one release
-    /// the parallel composition theorem charges for.)
+    /// Closes the scope: commits every increment reservation through the
+    /// WAL and records the scope's one `(max ε, max δ)` release.
     ///
     /// # Errors
     /// [`FmError::Privacy`] on WAL I/O failure; unsettled increments stay
-    /// open, which still counts as spent (fail-closed).
+    /// open, which still counts as spent (fail-closed), and the release
+    /// is recorded regardless. Those increments are sealed: a later
+    /// [`SharedPrivacySession::resume_reservation`] can commit them to
+    /// the WAL, but never abort them.
     pub fn finish(mut self) -> Result<()> {
         self.close()
     }
@@ -1701,16 +1600,24 @@ impl SharedParallelScope<'_> {
             return Ok(());
         }
         self.closed = true;
+        let mut inner = self.session.lock();
         let mut first_err = None;
-        for (id, _epsilon) in self.increments.drain(..) {
-            if let Err(e) = self.session.settle(id, true) {
+        for id in self.increments.drain(..) {
+            if let Err(e) = inner.settle(id, true) {
+                // The release below counts this increment: it stays open
+                // (and spent) only for the WAL, and can never be refunded.
+                if let Some(open) = inner.open.get_mut(&id) {
+                    open.sealed = true;
+                    open.release = Release::Recorded;
+                }
                 first_err.get_or_insert(e);
             }
         }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
+        if !self.labels.is_empty() {
+            let tenant = std::mem::take(&mut self.tenant);
+            inner.record(tenant, self.max_epsilon, self.max_delta, true);
         }
+        first_err.map_or(Ok(()), Err)
     }
 }
 
@@ -2076,6 +1983,201 @@ mod tests {
         scope.finish().unwrap();
         assert!((session.spent_epsilon() - 0.5).abs() < 1e-12);
         assert!((session.remaining_epsilon().unwrap() - 0.5).abs() < 1e-12);
+        assert_eq!(session.committed_fits(), 1);
+    }
+
+    /// A private stand-in with a fixed ε whose fit never touches data, so
+    /// accounting tests can admit many shards cheaply.
+    struct FixedEpsilon(f64);
+
+    impl DpEstimator for FixedEpsilon {
+        type Model = ();
+        fn fit(&self, _: &Dataset, _: &mut dyn rand::RngCore) -> Result<()> {
+            Ok(())
+        }
+        fn epsilon(&self) -> Option<f64> {
+            Some(self.0)
+        }
+        fn task(&self) -> crate::ModelKind {
+            crate::ModelKind::Linear
+        }
+    }
+
+    #[test]
+    fn exhausted_shared_session_refuses_sub_quantum_admissions() {
+        // Every admission debits at least one quantum: an ε that would
+        // truncate to zero quanta must not slip through a spent cap.
+        let session = SharedPrivacySession::with_cap(1.0).unwrap();
+        session
+            .begin("t", "all", 1.0, 0.0)
+            .unwrap()
+            .commit()
+            .unwrap();
+        for i in 0..1_000 {
+            let admitted = session.begin("t", &format!("dust-{i}"), 4e-13, 0.0);
+            assert!(matches!(
+                admitted,
+                Err(FmError::Privacy(
+                    fm_privacy::PrivacyError::BudgetExhausted { .. }
+                ))
+            ));
+        }
+        assert_eq!(session.report(1e-6).unwrap().basic.0, 1.0);
+        assert_eq!(session.spent_epsilon(), 1.0);
+        assert_eq!(session.committed_fits(), 1);
+
+        // The wrapper admits through the same arithmetic.
+        let mut wrapper = PrivacySession::with_budget(1.0).unwrap();
+        let data = fm_data::synth::linear_dataset(&mut rng(), 10, 2, 0.1);
+        wrapper.fit(&FixedEpsilon(1.0), &data, &mut rng()).unwrap();
+        assert!(!wrapper.can_fit(&FixedEpsilon(4e-13)));
+        assert!(wrapper
+            .fit(&FixedEpsilon(4e-13), &data, &mut rng())
+            .is_err());
+        assert_eq!(wrapper.report(1e-6).unwrap().basic.0, 1.0);
+    }
+
+    #[test]
+    fn cap_of_k_epsilon_admits_k_fits_of_uneven_quanta() {
+        // 1/6 and 2/3 are not whole quanta: rounding each debit to the
+        // nearest quantum would refuse the last fit under a cap of
+        // exactly k·ε.
+        let data = fm_data::synth::linear_dataset(&mut rng(), 10, 2, 0.1);
+        let mut session = PrivacySession::with_budget(1.0).unwrap();
+        for _ in 0..6 {
+            session
+                .fit(&FixedEpsilon(1.0 / 6.0), &data, &mut rng())
+                .unwrap();
+        }
+        assert_eq!(session.num_fits(), 6);
+        assert!(!session.can_fit(&FixedEpsilon(1e-11)));
+
+        // Lemma 5: a 2ε cap holds the mechanism and its retry premium.
+        let shared = SharedPrivacySession::with_cap(4.0 / 3.0).unwrap();
+        for label in ["mechanism", "retry"] {
+            shared
+                .begin("t", label, 2.0 / 3.0, 0.0)
+                .unwrap()
+                .commit()
+                .unwrap();
+        }
+        assert_eq!(shared.committed_fits(), 2);
+        assert!(shared.begin("t", "more", 1e-11, 0.0).is_err());
+    }
+
+    #[test]
+    fn closed_scope_increments_whose_commit_failed_count_once_and_never_refund() {
+        let dir = std::env::temp_dir().join(format!("fm-scope-fail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (path, stray) = (dir.join("scope.wal"), dir.join("stray.wal"));
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&stray);
+
+        let (session, _) = SharedPrivacySession::with_wal(&path, Some(1.0)).unwrap();
+        let mut scope = session.parallel_scope("census");
+        scope.admit("east", 0.3, 0.0).unwrap();
+        scope.admit("west", 0.5, 0.0).unwrap();
+        let ids = scope.increments.clone();
+        assert_eq!(ids.len(), 2);
+        // Inject the commit failure: close the scope against a log that
+        // never saw its increments.
+        let (stray_wal, _) = WalLedger::open(&stray).unwrap();
+        let wal = session.lock().wal.replace(stray_wal);
+        assert!(scope.finish().is_err());
+        session.lock().wal = wal;
+
+        // The scope's one release is recorded, and its increments are not
+        // counted a second time as in flight.
+        assert_eq!(session.committed_fits(), 1);
+        assert_eq!(session.spent_for("census"), (0.5, 0.0));
+        assert_eq!(session.spent_epsilon(), 0.5);
+        assert_eq!(session.dangling_reservations(), 2);
+        // The released increments can never be refunded…
+        for &id in &ids {
+            let err = session.resume_reservation(id).unwrap().abort().unwrap_err();
+            assert!(matches!(err, FmError::Privacy(_)), "{err}");
+        }
+        assert_eq!(session.spent_epsilon(), 0.5);
+        // …but the WAL can still record their commits, with no second
+        // release.
+        for &id in &ids {
+            session.resume_reservation(id).unwrap().commit().unwrap();
+        }
+        assert_eq!(session.dangling_reservations(), 0);
+        assert_eq!(session.committed_fits(), 1);
+        assert_eq!(session.report(1e-6).unwrap().basic, (0.5, 0.0));
+        assert_eq!(session.spent_for("census"), (0.5, 0.0));
+        session.reconcile_wal().unwrap();
+        drop(session);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&stray);
+    }
+
+    #[test]
+    fn parallel_scope_reports_one_max_epsilon_release_through_both_apis() {
+        // 1,000 disjoint shards at ε = 0.001·i are one 1.0-DP release;
+        // composing its increments as separate fits would understate it.
+        let epsilons: Vec<f64> = (1..=1_000).map(|i| 0.001 * f64::from(i)).collect();
+
+        let shared = SharedPrivacySession::with_cap(1.0).unwrap();
+        let mut scope = shared.parallel_scope("census");
+        for (i, &epsilon) in epsilons.iter().enumerate() {
+            scope.admit(&format!("shard-{i}"), epsilon, 0.0).unwrap();
+        }
+        scope.finish().unwrap();
+        let report = shared.report(1e-5).unwrap();
+        assert!(report.best.0 >= 1.0, "best {:?}", report.best);
+        assert_eq!(report.fits, 1);
+        assert_eq!(shared.committed_fits(), 1);
+        assert_eq!(shared.spent_epsilon(), 1.0);
+
+        let data = fm_data::synth::linear_dataset(&mut rng(), 10, 2, 0.1);
+        let mut session = PrivacySession::with_budget(1.0).unwrap();
+        let mut scope = session.parallel_fits();
+        for (i, &epsilon) in epsilons.iter().enumerate() {
+            scope
+                .fit_shard(
+                    &format!("shard-{i}"),
+                    &FixedEpsilon(epsilon),
+                    &data,
+                    &mut rng(),
+                )
+                .unwrap();
+        }
+        scope.finish();
+        let report = session.report(1e-5).unwrap();
+        assert!(report.best.0 >= 1.0, "best {:?}", report.best);
+        assert_eq!(report.fits, 1);
+        assert_eq!(session.num_fits(), 1);
+        assert_eq!(session.ledger().len(), 1);
+        assert_eq!(session.spent_epsilon(), 1.0);
+    }
+
+    #[test]
+    fn reconcile_wal_accepts_a_reopened_scope_of_rising_increments() {
+        let dir = std::env::temp_dir().join(format!("fm-scope-wal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("scope.wal");
+        let _ = std::fs::remove_file(&path);
+        {
+            let (session, _) = SharedPrivacySession::with_wal(&path, Some(1.0)).unwrap();
+            let mut scope = session.parallel_scope("census");
+            // 64 rising shards, each raising the max by an uneven amount,
+            // so the scope logs 64 increment records.
+            for i in 1..=64u32 {
+                let epsilon = 0.01 * f64::from(i) + 1e-13 * f64::from(i * i);
+                scope.admit(&format!("shard-{i}"), epsilon, 0.0).unwrap();
+            }
+            scope.finish().unwrap();
+            assert_eq!(session.committed_fits(), 1);
+            assert_eq!(session.wal_stats().unwrap().open_reservations, 0);
+            session.reconcile_wal().unwrap();
+        }
+        let (session, report) = SharedPrivacySession::with_wal(&path, Some(1.0)).unwrap();
+        assert_eq!(report.sealed_dangling, 0);
+        session.reconcile_wal().unwrap();
+        assert!((session.spent_epsilon() - 0.64).abs() < 1e-9);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //!   the coordinator with exact aggregates;
 //! * **fault overhead** — wall time of the same central round through
 //!   the quorum path ([`Coordinator::run_round_with_quorum`]): clean,
-//!   with every client's first frame torn mid-payload (checksum refusal
-//!   + retry + dedup machinery), and with the first client dropped (a
-//!   recovery sub-round re-plans the grid onto the survivors, who
-//!   re-contribute). Faulted releases are still checked bit-identical
+//!   with every client's first frame torn mid-payload (checksum
+//!   refusal, retry and dedup machinery), and with the first client
+//!   dropped (a recovery sub-round re-plans the grid onto the
+//!   survivors, who re-contribute). Faulted releases are still checked bit-identical
 //!   to their fault-free references before timing is reported.
 //!
 //! [`Coordinator::run_round_with_quorum`]: fm_federated::Coordinator::run_round_with_quorum

@@ -1,11 +1,25 @@
-//! Privacy-budget accounting: sequential composition and the
-//! advanced-composition bound.
+//! Privacy-budget accounting: sequential composition, the
+//! advanced-composition bound, and the integer ε arithmetic every cap in
+//! the workspace admits with.
 //!
 //! ε-DP composes additively: running an ε₁-DP algorithm followed by an
 //! ε₂-DP algorithm on the same data is (ε₁+ε₂)-DP. The paper leans on this
 //! twice: Lemma 5 shows that re-running Algorithm 1 until the noisy
 //! objective is bounded costs `2ε`, and the experiment harness must ensure
 //! each method consumes exactly its advertised budget.
+//!
+//! **One ε arithmetic.** Caps are enforced in whole quanta of
+//! [`EPS_QUANTUM`] = 10⁻¹² ε. A cap is rounded to the nearest quantum
+//! once ([`cap_to_units`]); each debit is truncated to whole quanta once
+//! ([`eps_to_units`]); everything after that is `u64` addition and
+//! comparison, so no float slack accumulates and a refund restores the
+//! prior total bit-for-bit. Truncation keeps equal splits admissible:
+//! `k · eps_to_units(T / k) ≤ cap_to_units(T)` for every `k`, so a cap of
+//! exactly `k·ε` holds `k` fits at ε even when `T / k` is not a whole
+//! number of quanta. A debit is undercounted by less than one quantum,
+//! and never to zero: any positive ε debits at least one quantum, so no
+//! admission is free. [`PrivacyBudget`] and `fm_core`'s shared session
+//! both count this way.
 //!
 //! Two ledgers are provided:
 //!
@@ -21,11 +35,51 @@
 
 use crate::{PrivacyError, Result};
 
-/// Tolerance for floating-point slack when comparing spends against the
-/// remaining budget (ε values are user-scale numbers like 0.1–3.2).
-const EPS_SLACK: f64 = 1e-12;
+/// One unit of the integer budget counter: 10⁻¹² ε, far below any
+/// meaningful privacy resolution.
+pub const EPS_QUANTUM: f64 = 1e-12;
 
-/// A sequential-composition ε ledger.
+/// The quanta a debit of `epsilon` costs: truncated to whole quanta, but
+/// **never below one** for a positive ε — an admission that cost zero
+/// would let arbitrarily many tiny debits through a spent cap. Values so
+/// large they would overflow the counter saturate (and then fail cap
+/// checks and `checked_add`, refusing the admission rather than
+/// wrapping).
+#[must_use]
+pub fn eps_to_units(epsilon: f64) -> u64 {
+    quanta((epsilon / EPS_QUANTUM).floor()).max(u64::from(epsilon > 0.0))
+}
+
+/// The quanta a cap of `total` ε holds: rounded to the nearest quantum.
+/// Paired with the truncating [`eps_to_units`], a cap of `T` admits `k`
+/// debits of `T / k` for every `k`.
+#[must_use]
+pub fn cap_to_units(total: f64) -> u64 {
+    quanta((total / EPS_QUANTUM).round())
+}
+
+/// A whole, non-negative quanta count as the counter's integer,
+/// saturating far below `u64::MAX` so sums of saturated values still
+/// compare as exhausted rather than wrap.
+fn quanta(units: f64) -> u64 {
+    if units >= 9.0e18 {
+        9_000_000_000_000_000_000
+    } else {
+        units as u64
+    }
+}
+
+/// The ε an integer quanta count represents.
+#[must_use]
+pub fn units_to_eps(units: u64) -> f64 {
+    // u64 → f64 rounds above 2⁵³ quanta (ε > ~9000); still monotone.
+    #[allow(clippy::cast_precision_loss)]
+    let units = units as f64;
+    units * EPS_QUANTUM
+}
+
+/// A sequential-composition ε ledger, counting in integer quanta (see the
+/// [module docs](self)).
 ///
 /// ```
 /// use fm_privacy::budget::PrivacyBudget;
@@ -39,7 +93,8 @@ const EPS_SLACK: f64 = 1e-12;
 #[derive(Debug, Clone)]
 pub struct PrivacyBudget {
     total: f64,
-    spent: f64,
+    total_units: u64,
+    spent_units: u64,
     /// Individual spends, for auditing.
     ledger: Vec<f64>,
 }
@@ -59,7 +114,8 @@ impl PrivacyBudget {
         }
         Ok(PrivacyBudget {
             total,
-            spent: 0.0,
+            total_units: cap_to_units(total),
+            spent_units: 0,
             ledger: Vec::new(),
         })
     }
@@ -73,13 +129,17 @@ impl PrivacyBudget {
     /// ε consumed so far.
     #[must_use]
     pub fn spent(&self) -> f64 {
-        self.spent
+        units_to_eps(self.spent_units)
     }
 
     /// ε still available (never negative).
     #[must_use]
     pub fn remaining(&self) -> f64 {
-        (self.total - self.spent).max(0.0)
+        units_to_eps(self.remaining_units())
+    }
+
+    fn remaining_units(&self) -> u64 {
+        self.total_units.saturating_sub(self.spent_units)
     }
 
     /// Number of recorded spends.
@@ -99,15 +159,15 @@ impl PrivacyBudget {
     /// any mechanism touches the data.
     #[must_use]
     pub fn can_spend(&self, epsilon: f64) -> bool {
-        epsilon.is_finite() && epsilon > 0.0 && epsilon <= self.remaining() + EPS_SLACK
+        epsilon.is_finite() && epsilon > 0.0 && eps_to_units(epsilon) <= self.remaining_units()
     }
 
     /// Records a spend of `epsilon`.
     ///
     /// # Errors
     /// * [`PrivacyError::InvalidParameter`] for non-positive/non-finite ε.
-    /// * [`PrivacyError::BudgetExhausted`] when the spend would exceed what
-    ///   remains (beyond floating-point slack).
+    /// * [`PrivacyError::BudgetExhausted`] when the spend, in quanta,
+    ///   would exceed what remains.
     pub fn spend(&mut self, epsilon: f64) -> Result<()> {
         if !epsilon.is_finite() || epsilon <= 0.0 {
             return Err(PrivacyError::InvalidParameter {
@@ -116,19 +176,24 @@ impl PrivacyBudget {
                 constraint: "finite and > 0",
             });
         }
-        if epsilon > self.remaining() + EPS_SLACK {
+        self.debit(epsilon, eps_to_units(epsilon))
+    }
+
+    fn debit(&mut self, epsilon: f64, units: u64) -> Result<()> {
+        if units > self.remaining_units() {
             return Err(PrivacyError::BudgetExhausted {
                 requested: epsilon,
                 remaining: self.remaining(),
             });
         }
-        self.spent += epsilon;
+        self.spent_units += units;
         self.ledger.push(epsilon);
         Ok(())
     }
 
-    /// Splits the *remaining* budget into `parts` equal spends, recording
-    /// and returning the per-part ε.
+    /// Splits the *remaining* budget into `parts` equal spends of whole
+    /// quanta, recording and returning the per-part ε. The fewer than
+    /// `parts` quanta that do not divide evenly stay unspent.
     ///
     /// Useful for mechanisms that make a known number of sequential noisy
     /// queries (e.g. DPME noising each histogram cell would instead use
@@ -136,7 +201,8 @@ impl PrivacyBudget {
     ///
     /// # Errors
     /// * [`PrivacyError::InvalidParameter`] when `parts == 0`.
-    /// * [`PrivacyError::BudgetExhausted`] when nothing remains.
+    /// * [`PrivacyError::BudgetExhausted`] when less than one quantum per
+    ///   part remains.
     pub fn split_remaining(&mut self, parts: usize) -> Result<f64> {
         if parts == 0 {
             return Err(PrivacyError::InvalidParameter {
@@ -145,16 +211,16 @@ impl PrivacyBudget {
                 constraint: "at least 1",
             });
         }
-        let remaining = self.remaining();
-        if remaining <= 0.0 {
+        let per_units = self.remaining_units() / parts as u64;
+        if per_units == 0 {
             return Err(PrivacyError::BudgetExhausted {
                 requested: 0.0,
-                remaining,
+                remaining: self.remaining(),
             });
         }
-        let per_part = remaining / parts as f64;
+        let per_part = units_to_eps(per_units);
         for _ in 0..parts {
-            self.spend(per_part)?;
+            self.debit(per_part, per_units)?;
         }
         Ok(per_part)
     }
@@ -387,6 +453,61 @@ mod tests {
         b.spend(0.1).unwrap();
         // 0.3 - 0.2 leaves 0.09999999999999998; spending "0.1" must work.
         b.spend(0.1).unwrap();
+    }
+
+    #[test]
+    fn exhausted_budget_refuses_sub_quantum_spends() {
+        // Every positive ε debits at least one quantum, so a spent budget
+        // stays spent however small the request.
+        let mut b = PrivacyBudget::new(1.0).unwrap();
+        b.spend(1.0).unwrap();
+        for _ in 0..1_000 {
+            assert!(matches!(
+                b.spend(9e-13),
+                Err(PrivacyError::BudgetExhausted { .. })
+            ));
+            assert!(!b.can_spend(4e-13));
+        }
+        assert_eq!(b.spent(), 1.0);
+        assert_eq!(b.num_operations(), 1);
+    }
+
+    #[test]
+    fn quantisation_truncates_debits_and_rounds_caps() {
+        assert_eq!(eps_to_units(0.3), 300_000_000_000);
+        assert_eq!(eps_to_units(4e-13), 1);
+        assert_eq!(eps_to_units(1.6e-12), 1);
+        assert_eq!(eps_to_units(0.0), 0);
+        assert_eq!(eps_to_units(1e30), 9_000_000_000_000_000_000);
+        assert_eq!(units_to_eps(eps_to_units(0.5)), 0.5);
+        assert_eq!(cap_to_units(1.6e-12), 2);
+        assert_eq!(cap_to_units(1.0 / 3.0), 333_333_333_333);
+        // An equal split never overfills its cap.
+        for total in [1.0, 4.0 / 3.0, 0.7, 2.0 / 3.0, 5.0, 1e-9] {
+            for k in 1..=64u32 {
+                let per = eps_to_units(total / f64::from(k));
+                assert!(u64::from(k) * per <= cap_to_units(total), "{total}/{k}");
+            }
+        }
+    }
+
+    #[test]
+    fn cap_of_k_epsilon_admits_k_spends_of_uneven_quanta() {
+        // 1/6 and 2/3 are not whole quanta: rounding each spend to the
+        // nearest quantum would overfill a cap of exactly k·ε.
+        let mut b = PrivacyBudget::new(1.0).unwrap();
+        for _ in 0..6 {
+            b.spend(1.0 / 6.0).unwrap();
+        }
+        // Truncation leaves the few quanta that did not divide evenly.
+        assert!(b.remaining() < 1e-11);
+        assert!(b.spend(1e-11).is_err());
+
+        let eps = 2.0 / 3.0;
+        let mut b = PrivacyBudget::new(4.0 / 3.0).unwrap();
+        b.spend(eps).unwrap(); // the (possibly repeated) mechanism
+        b.spend(eps).unwrap(); // Lemma 5's retry premium
+        assert!(b.remaining() < 1e-11);
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //!   ε-DP model selection over hyper-parameter candidates.
 //! * [`budget::PrivacyBudget`] — an ε accountant with sequential
 //!   composition, used to implement (and test) Lemma 5's claim that
-//!   "re-run until bounded" costs `2ε`.
+//!   "re-run until bounded" costs `2ε`. It counts in the integer ε quanta
+//!   of [`budget::eps_to_units`] and [`budget::cap_to_units`], the one ε
+//!   arithmetic every cap in the workspace admits with.
 //! * [`gaussian`] — a Box–Muller standard-normal sampler backing both the
 //!   Gaussian mechanism and the synthetic census generator in `fm-data`.
 //!

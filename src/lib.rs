@@ -76,10 +76,12 @@
 //! * fitted models share the [`core::model::Model`] trait (weights /
 //!   intercept / spent ε / task-natural predictions), which persistence
 //!   ([`core::persist::SavedModel`]) and generic scoring consume;
-//! * [`core::session::PrivacySession`] debits every fit against a
-//!   [`privacy::budget::PrivacyBudget`] and reports the honest composed
-//!   (ε, δ) — basic and advanced composition — for multi-fit workloads
-//!   like the paper's 50×5-fold protocol.
+//! * [`core::session::PrivacySession`] debits every fit, before it runs,
+//!   against one WAL-less [`core::session::SharedPrivacySession`] — the
+//!   single accounting core, counting in the integer ε quanta of
+//!   [`privacy::budget`] — and reports the honest composed (ε, δ) —
+//!   basic, advanced and moments-accountant composition — for multi-fit
+//!   workloads like the paper's 50×5-fold protocol.
 //!
 //! The long-standing `builder()` entry points (`DpLinearRegression::builder()`
 //! and friends) are kept as thin forwarding shims over `FitConfig` +
