@@ -15,12 +15,13 @@
 //! 3. resolve unboundedness per the §6 [`Strategy`];
 //! 4. wrap the released weights in the family's model type.
 //!
-//! `linreg`, `logreg` and `poisson` are thin instantiations of this core
-//! (a type alias for linear; two-field wrappers for the families whose
-//! surrogate construction can fail), and so is the quartic demo
-//! ([`crate::sparse::SparseFmEstimator`]). A new objective — median
-//! regression, a user loss — plugs in as one `RegressionObjective` impl
-//! instead of a ~700-line copied stack.
+//! Every family is a thin instantiation of this core. Linear regression
+//! and the quartic demo ([`crate::sparse::SparseFmEstimator`]) are type
+//! aliases of [`FmEstimator`]. The logistic, Poisson, median, quantile and
+//! Huber estimators are aliases of one [`FamilyEstimator`], generic over a
+//! [`Family`] of builder knobs whose objective construction can fail. A
+//! new objective — a user loss — plugs in as one `RegressionObjective`
+//! impl instead of a ~700-line copied stack.
 //!
 //! The [`DpEstimator`] trait is the dyn-compatible face of all of this:
 //! private estimators *and* the `fm-baselines` comparators implement it,
@@ -264,10 +265,10 @@ pub trait RegressionObjective: PolynomialObjective {
 /// [`fm_poly::Polynomial`] ([`crate::sparse::SparseFmEstimator`], every
 /// [`crate::sparse::SparseRegressionObjective`]).
 ///
-/// `DpLinearRegression` is exactly `FmEstimator<LinearObjective>`;
-/// the logistic and Poisson front-ends are two-field wrappers that build
-/// their surrogate objective and delegate here. Fitting a *new* loss
-/// needs only an objective:
+/// `DpLinearRegression` is exactly `FmEstimator<LinearObjective>`; the
+/// families whose objective construction can fail go through
+/// [`FamilyEstimator`], which builds the objective at fit time and
+/// delegates here. Fitting a *new* loss needs only an objective:
 ///
 /// ```
 /// use fm_core::estimator::{FitConfig, FmEstimator};
@@ -822,9 +823,159 @@ impl<O: Objective<C>, C: Coefficients> DpEstimator for FmEstimator<O, C> {
     }
 }
 
+/// The builder knobs of a loss family whose objective is built at fit
+/// time: the logistic [`crate::logreg::Approximation`], the Poisson,
+/// median, quantile and Huber settings. Building the objective validates
+/// the knobs (a bad γ, τ, δ, `y_max` or Chebyshev interval), and that
+/// error surfaces when [`FamilyEstimator`] fits, not when it is built.
+pub trait Family: Copy + Default {
+    /// The objective these knobs build.
+    type Objective: RegressionObjective;
+
+    /// Builds the objective from the knobs.
+    ///
+    /// # Errors
+    /// [`FmError::InvalidConfig`] for a knob out of range.
+    fn objective(&self) -> Result<Self::Objective>;
+}
+
+/// The model a [`Family`] releases.
+type FamilyModel<F> = <<F as Family>::Objective as RegressionObjective>::Model;
+
+/// The one estimator front-end of every [`Family`]: a [`FitConfig`] plus
+/// the family's knobs. Each entry point builds the family's objective and
+/// runs the [`FmEstimator`] core over it, so a bad knob is refused at fit
+/// time. `DpLogisticRegression`, `DpPoissonRegression`,
+/// `DpMedianRegression`, `DpQuantileRegression` and `DpHuberRegression`
+/// are aliases of this type.
+#[derive(Debug, Clone)]
+pub struct FamilyEstimator<F> {
+    pub(crate) config: FitConfig,
+    pub(crate) family: F,
+}
+
+impl<F: Family> FamilyEstimator<F> {
+    /// Starts a builder with the shared defaults (ε = 1, paper
+    /// sensitivity, regularize-then-trim, no intercept, Laplace noise) and
+    /// the family's default knobs.
+    #[must_use]
+    pub fn builder() -> EstimatorBuilder<F> {
+        EstimatorBuilder::default()
+    }
+
+    /// The configured privacy budget.
+    #[must_use]
+    pub fn epsilon(&self) -> f64 {
+        self.config.epsilon
+    }
+
+    /// The shared fit configuration.
+    #[must_use]
+    pub fn config(&self) -> &FitConfig {
+        &self.config
+    }
+
+    /// Instantiates the generic core for the configured knobs — the way
+    /// to this family's [`FmEstimator::partial_fit`],
+    /// [`FmEstimator::resume_partial_fit`] and
+    /// [`FmEstimator::release_clean`].
+    ///
+    /// # Errors
+    /// [`FmError::InvalidConfig`] for a knob the objective refuses.
+    pub fn estimator(&self) -> Result<FmEstimator<F::Objective>> {
+        Ok(FmEstimator::new(self.family.objective()?, self.config))
+    }
+
+    /// Fits a private model on `data`, which must satisfy the family's
+    /// normalized-domain contract.
+    ///
+    /// # Errors
+    /// As [`FmEstimator::fit`], plus [`FmError::InvalidConfig`] for a knob
+    /// the objective refuses.
+    pub fn fit(&self, data: &Dataset, rng: &mut impl Rng) -> Result<FamilyModel<F>> {
+        self.estimator()?.fit(data, rng)
+    }
+
+    /// Fits a private model from a streaming [`RowSource`] — see
+    /// [`FmEstimator::fit_stream`]: bounded memory, bit-identical to
+    /// [`FamilyEstimator::fit`] on the materialized data at the same seed.
+    ///
+    /// # Errors
+    /// As [`FamilyEstimator::fit`], plus transport errors from the source.
+    pub fn fit_stream(
+        &self,
+        source: &mut (impl RowSource + ?Sized),
+        rng: &mut impl Rng,
+    ) -> Result<FamilyModel<F>> {
+        self.estimator()?.fit_stream(source, rng)
+    }
+
+    /// Fits one model over the union of disjoint shards with per-shard
+    /// assembly — see [`FmEstimator::fit_sharded`].
+    ///
+    /// # Errors
+    /// As [`FmEstimator::fit_sharded`], plus [`FmError::InvalidConfig`]
+    /// for a knob the objective refuses.
+    pub fn fit_sharded<S>(&self, shards: &mut [S], rng: &mut impl Rng) -> Result<FamilyModel<F>>
+    where
+        S: RowSource + Send,
+    {
+        self.estimator()?.fit_sharded(shards, rng)
+    }
+
+    /// Fits the *non-private* minimiser of the truncated objective — the
+    /// paper's `Truncated` baseline for this family, isolating surrogate
+    /// error from privacy noise (exposed here so `fm-baselines` and the
+    /// harness share one implementation).
+    ///
+    /// # Errors
+    /// [`FmError::Data`] / [`FmError::Optim`] on contract violation or a
+    /// degenerate (rank-deficient) Hessian; [`FmError::InvalidConfig`]
+    /// for a knob the objective refuses.
+    pub fn fit_truncated_without_privacy(&self, data: &Dataset) -> Result<FamilyModel<F>> {
+        self.estimator()?.fit_without_privacy(data)
+    }
+}
+
+impl<F: Family> DpEstimator for FamilyEstimator<F> {
+    type Model = FamilyModel<F>;
+
+    fn fit(&self, data: &Dataset, mut rng: &mut dyn RngCore) -> Result<Self::Model> {
+        FamilyEstimator::fit(self, data, &mut rng)
+    }
+
+    fn fit_stream(
+        &self,
+        source: &mut dyn RowSource,
+        mut rng: &mut dyn RngCore,
+    ) -> Result<Self::Model> {
+        FamilyEstimator::fit_stream(self, source, &mut rng)
+    }
+
+    fn fit_sharded(
+        &self,
+        shards: &mut [&mut (dyn RowSource + Send)],
+        mut rng: &mut dyn RngCore,
+    ) -> Result<Self::Model> {
+        FamilyEstimator::fit_sharded(self, shards, &mut rng)
+    }
+
+    fn epsilon(&self) -> Option<f64> {
+        Some(self.config.epsilon)
+    }
+
+    fn delta(&self) -> Option<f64> {
+        self.config.delta()
+    }
+
+    fn task(&self) -> ModelKind {
+        <FamilyModel<F> as PersistableModel>::KIND
+    }
+}
+
 /// The builder shared by every estimator front-end: the five common knobs
 /// live here exactly once; each family adds its own (`approximation`,
-/// `y_max`, `build`) in an `impl` on its concrete instantiation.
+/// `y_max`, `smoothing`, …) in an `impl` on its concrete instantiation.
 #[derive(Debug, Clone, Default)]
 pub struct EstimatorBuilder<F> {
     pub(crate) config: FitConfig,
@@ -881,6 +1032,18 @@ impl<F> EstimatorBuilder<F> {
     pub fn config(mut self, config: FitConfig) -> Self {
         self.config = config;
         self
+    }
+}
+
+impl<F: Family> EstimatorBuilder<F> {
+    /// Finalises the configuration. The family's knobs are validated when
+    /// the estimator fits.
+    #[must_use]
+    pub fn build(self) -> FamilyEstimator<F> {
+        FamilyEstimator {
+            config: self.config,
+            family: self.family,
+        }
     }
 }
 

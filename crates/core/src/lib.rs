@@ -127,8 +127,8 @@ pub use assembly::CoefficientAccumulator;
 pub use coefficients::{Coefficients, Objective};
 pub use error::FmError;
 pub use estimator::{
-    DpEstimator, EstimatorBuilder, FitConfig, FitProgress, FmEstimator, PartialFit,
-    RegressionObjective,
+    DpEstimator, EstimatorBuilder, Family, FamilyEstimator, FitConfig, FitProgress, FmEstimator,
+    PartialFit, RegressionObjective,
 };
 pub use mechanism::{
     FunctionalMechanism, NoiseDistribution, NoisyQuadratic, PolynomialObjective, SensitivityBound,

@@ -18,18 +18,14 @@
 //! paper stresses — the injected noise is independent of the dataset
 //! cardinality.
 
-use rand::{Rng, RngCore};
-
 use fm_data::Dataset;
 use fm_poly::chebyshev::logistic_chebyshev;
 use fm_poly::taylor::{identity_component, logistic_log1pexp_component, TaylorComponent};
 use fm_poly::QuadraticForm;
 
-use crate::estimator::{
-    DpEstimator, EstimatorBuilder, FitConfig, FmEstimator, RegressionObjective,
-};
+use crate::estimator::{EstimatorBuilder, Family, FamilyEstimator, RegressionObjective};
 use crate::mechanism::{PolynomialObjective, SensitivityBound};
-use crate::model::{LogisticModel, ModelKind};
+use crate::model::LogisticModel;
 use crate::{FmError, Result};
 
 /// The paper's logistic-regression sensitivity: `Δ = d²/4 + 3d`
@@ -285,9 +281,9 @@ impl RegressionObjective for ChebyshevLogisticObjective {
 }
 
 /// Either degree-2 surrogate of the logistic loss, as one
-/// [`RegressionObjective`] the generic [`FmEstimator`] core can hold —
-/// what [`DpLogisticRegression`] instantiates from its configured
-/// [`Approximation`].
+/// [`RegressionObjective`] the generic [`crate::estimator::FmEstimator`]
+/// core can hold — what [`DpLogisticRegression`] instantiates from its
+/// configured [`Approximation`].
 #[derive(Debug, Clone, Copy)]
 pub enum LogisticSurrogate {
     /// The §5 Taylor truncation.
@@ -356,6 +352,14 @@ impl RegressionObjective for LogisticSurrogate {
     type Model = LogisticModel;
 }
 
+impl Family for Approximation {
+    type Objective = LogisticSurrogate;
+
+    fn objective(&self) -> Result<LogisticSurrogate> {
+        LogisticSurrogate::new(*self)
+    }
+}
+
 /// Builder for [`DpLogisticRegression`]: the shared [`EstimatorBuilder`]
 /// knobs plus the surrogate choice.
 pub type DpLogisticRegressionBuilder = EstimatorBuilder<Approximation>;
@@ -368,24 +372,14 @@ impl DpLogisticRegressionBuilder {
         self.family = approximation;
         self
     }
-
-    /// Finalises the configuration.
-    #[must_use]
-    pub fn build(self) -> DpLogisticRegression {
-        DpLogisticRegression {
-            config: self.config,
-            approximation: self.family,
-        }
-    }
 }
 
 /// ε-differentially private logistic regression via Algorithm 2
-/// (Taylor truncation + the Functional Mechanism) — a thin wrapper that
-/// builds a [`LogisticSurrogate`] from its configured [`Approximation`]
-/// and delegates the entire fit pipeline to the generic
-/// [`FmEstimator`] core. (It is a two-field struct rather than a type
-/// alias only because Chebyshev surrogate construction can fail, and that
-/// error is reported at `fit` time, not `build` time.)
+/// (Taylor truncation + the Functional Mechanism): the generic
+/// [`FamilyEstimator`] over the configured [`Approximation`], which builds
+/// a [`LogisticSurrogate`] at fit time (a bad Chebyshev interval is
+/// refused there). Data must satisfy Definition 2's contract
+/// (`‖x‖₂ ≤ 1`, `y ∈ {0, 1}`).
 ///
 /// ```
 /// use fm_core::logreg::DpLogisticRegression;
@@ -401,107 +395,7 @@ impl DpLogisticRegressionBuilder {
 /// let p = model.probability(data.x().row(0));
 /// assert!((0.0..=1.0).contains(&p));
 /// ```
-#[derive(Debug, Clone)]
-pub struct DpLogisticRegression {
-    config: FitConfig,
-    approximation: Approximation,
-}
-
-impl DpLogisticRegression {
-    /// Starts a builder with defaults (ε = 1, paper sensitivity,
-    /// regularize-then-trim, no intercept, Taylor approximation).
-    #[must_use]
-    pub fn builder() -> DpLogisticRegressionBuilder {
-        DpLogisticRegressionBuilder::default()
-    }
-
-    /// The configured privacy budget.
-    #[must_use]
-    pub fn epsilon(&self) -> f64 {
-        self.config.epsilon
-    }
-
-    /// The shared fit configuration.
-    #[must_use]
-    pub fn config(&self) -> &FitConfig {
-        &self.config
-    }
-
-    /// Instantiates the generic core for the configured surrogate.
-    fn estimator(&self) -> Result<FmEstimator<LogisticSurrogate>> {
-        Ok(FmEstimator::new(
-            LogisticSurrogate::new(self.approximation)?,
-            self.config,
-        ))
-    }
-
-    /// Fits an ε-DP logistic model on `data`, which must satisfy
-    /// Definition 2's contract (`‖x‖₂ ≤ 1`, `y ∈ {0, 1}`).
-    ///
-    /// # Errors
-    /// As [`FmEstimator::fit`], plus [`FmError::InvalidConfig`] for a bad
-    /// Chebyshev interval.
-    pub fn fit(&self, data: &Dataset, rng: &mut impl Rng) -> Result<LogisticModel> {
-        self.estimator()?.fit(data, rng)
-    }
-
-    /// Fits an ε-DP logistic model from a streaming
-    /// [`fm_data::stream::RowSource`] — see [`FmEstimator::fit_stream`]:
-    /// bounded memory, bit-identical released weights to
-    /// [`DpLogisticRegression::fit`] on the materialized data at the same
-    /// seed.
-    ///
-    /// # Errors
-    /// As [`DpLogisticRegression::fit`], plus transport errors from the
-    /// source.
-    pub fn fit_stream(
-        &self,
-        source: &mut (impl fm_data::stream::RowSource + ?Sized),
-        rng: &mut impl Rng,
-    ) -> Result<LogisticModel> {
-        self.estimator()?.fit_stream(source, rng)
-    }
-
-    /// Fits the *non-private* minimiser of the truncated objective — the
-    /// paper's `Truncated` baseline (exposed here so `fm-baselines` and the
-    /// harness share one implementation). Honours the configured
-    /// [`Approximation`].
-    ///
-    /// # Errors
-    /// [`FmError::Data`] / [`FmError::Optim`] on contract violation or a
-    /// degenerate (rank-deficient) Hessian.
-    pub fn fit_truncated_without_privacy(&self, data: &Dataset) -> Result<LogisticModel> {
-        self.estimator()?.fit_without_privacy(data)
-    }
-}
-
-impl DpEstimator for DpLogisticRegression {
-    type Model = LogisticModel;
-
-    fn fit(&self, data: &Dataset, mut rng: &mut dyn RngCore) -> Result<LogisticModel> {
-        DpLogisticRegression::fit(self, data, &mut rng)
-    }
-
-    fn fit_stream(
-        &self,
-        source: &mut dyn fm_data::stream::RowSource,
-        mut rng: &mut dyn RngCore,
-    ) -> Result<LogisticModel> {
-        DpLogisticRegression::fit_stream(self, source, &mut rng)
-    }
-
-    fn epsilon(&self) -> Option<f64> {
-        Some(self.config.epsilon)
-    }
-
-    fn delta(&self) -> Option<f64> {
-        self.config.delta()
-    }
-
-    fn task(&self) -> ModelKind {
-        ModelKind::Logistic
-    }
-}
+pub type DpLogisticRegression = FamilyEstimator<Approximation>;
 
 #[cfg(test)]
 mod tests {

@@ -35,19 +35,14 @@
 //! Chebyshev surrogate (`Approximation::Chebyshev`) roughly quarters the
 //! sup-error on the same interval.
 
-use rand::{Rng, RngCore};
-
 use fm_data::Dataset;
 use fm_poly::chebyshev::ChebyshevQuadratic;
 use fm_poly::taylor::{identity_component, poisson_exp_component, TaylorComponent};
 use fm_poly::QuadraticForm;
 
-use crate::estimator::{
-    DpEstimator, EstimatorBuilder, FitConfig, FmEstimator, RegressionObjective,
-};
+use crate::estimator::{EstimatorBuilder, Family, FamilyEstimator, RegressionObjective};
 use crate::logreg::Approximation;
 use crate::mechanism::{PolynomialObjective, SensitivityBound};
-use crate::model::ModelKind;
 use crate::{FmError, Result};
 
 pub use crate::model::PoissonModel;
@@ -234,7 +229,7 @@ impl RegressionObjective for PoissonObjective {
 }
 
 /// The Poisson-specific builder knobs carried next to the shared
-/// [`FitConfig`]: the surrogate choice and the count cap.
+/// [`crate::estimator::FitConfig`]: the surrogate choice and the count cap.
 #[derive(Debug, Clone, Copy)]
 pub struct PoissonSettings {
     approximation: Approximation,
@@ -247,6 +242,14 @@ impl Default for PoissonSettings {
             approximation: Approximation::Taylor,
             y_max: DEFAULT_Y_MAX,
         }
+    }
+}
+
+impl Family for PoissonSettings {
+    type Objective = PoissonObjective;
+
+    fn objective(&self) -> Result<PoissonObjective> {
+        PoissonObjective::from_approximation(self.y_max, self.approximation)
     }
 }
 
@@ -270,23 +273,14 @@ impl DpPoissonRegressionBuilder {
         self.family.y_max = y_max;
         self
     }
-
-    /// Finalises the configuration.
-    #[must_use]
-    pub fn build(self) -> DpPoissonRegression {
-        DpPoissonRegression {
-            config: self.config,
-            settings: self.family,
-        }
-    }
 }
 
 /// ε-differentially private Poisson regression via the Functional
-/// Mechanism — a thin wrapper that builds a [`PoissonObjective`] from its
-/// configured surrogate and count cap and delegates the entire fit
-/// pipeline to the generic [`FmEstimator`] core. (A two-field struct
-/// rather than a type alias only because objective construction validates
-/// `y_max`/`half_width`, and those errors are reported at `fit` time.)
+/// Mechanism: the generic [`FamilyEstimator`] over [`PoissonSettings`],
+/// which builds a [`PoissonObjective`] from the configured surrogate and
+/// count cap at fit time (a bad `y_max` or Chebyshev interval is refused
+/// there). Data must satisfy the count contract (`‖x‖₂ ≤ 1`,
+/// `y ∈ [0, y_max]`).
 ///
 /// ```
 /// use fm_core::poisson::DpPoissonRegression;
@@ -301,106 +295,13 @@ impl DpPoissonRegressionBuilder {
 ///     .unwrap();
 /// assert!(model.rate(data.x().row(0)) > 0.0);
 /// ```
-#[derive(Debug, Clone)]
-pub struct DpPoissonRegression {
-    config: FitConfig,
-    settings: PoissonSettings,
-}
+pub type DpPoissonRegression = FamilyEstimator<PoissonSettings>;
 
 impl DpPoissonRegression {
-    /// Starts a builder with defaults (ε = 1, paper sensitivity,
-    /// regularize-then-trim, no intercept, Taylor, `y_max = 8`).
-    #[must_use]
-    pub fn builder() -> DpPoissonRegressionBuilder {
-        DpPoissonRegressionBuilder::default()
-    }
-
-    /// The configured privacy budget.
-    #[must_use]
-    pub fn epsilon(&self) -> f64 {
-        self.config.epsilon
-    }
-
     /// The configured count cap.
     #[must_use]
     pub fn y_max(&self) -> f64 {
-        self.settings.y_max
-    }
-
-    /// The shared fit configuration.
-    #[must_use]
-    pub fn config(&self) -> &FitConfig {
-        &self.config
-    }
-
-    /// Instantiates the generic core for the configured surrogate and cap.
-    fn estimator(&self) -> Result<FmEstimator<PoissonObjective>> {
-        Ok(FmEstimator::new(
-            PoissonObjective::from_approximation(self.settings.y_max, self.settings.approximation)?,
-            self.config,
-        ))
-    }
-
-    /// Fits an ε-DP Poisson model on `data`, which must satisfy the count
-    /// contract (`‖x‖₂ ≤ 1`, `y ∈ [0, y_max]`).
-    ///
-    /// # Errors
-    /// As [`FmEstimator::fit`], plus [`FmError::InvalidConfig`] for a bad
-    /// cap or Chebyshev interval.
-    pub fn fit(&self, data: &Dataset, rng: &mut impl Rng) -> Result<PoissonModel> {
-        self.estimator()?.fit(data, rng)
-    }
-
-    /// Fits an ε-DP Poisson model from a streaming
-    /// [`fm_data::stream::RowSource`] — see [`FmEstimator::fit_stream`].
-    ///
-    /// # Errors
-    /// As [`DpPoissonRegression::fit`], plus transport errors from the
-    /// source.
-    pub fn fit_stream(
-        &self,
-        source: &mut (impl fm_data::stream::RowSource + ?Sized),
-        rng: &mut impl Rng,
-    ) -> Result<PoissonModel> {
-        self.estimator()?.fit_stream(source, rng)
-    }
-
-    /// Fits the *non-private* minimiser of the truncated objective
-    /// (the Poisson analogue of the `Truncated` baseline).
-    ///
-    /// # Errors
-    /// [`FmError::Data`] / [`FmError::Optim`] on contract violation or a
-    /// degenerate Hessian.
-    pub fn fit_truncated_without_privacy(&self, data: &Dataset) -> Result<PoissonModel> {
-        self.estimator()?.fit_without_privacy(data)
-    }
-}
-
-impl DpEstimator for DpPoissonRegression {
-    type Model = PoissonModel;
-
-    fn fit(&self, data: &Dataset, mut rng: &mut dyn RngCore) -> Result<PoissonModel> {
-        DpPoissonRegression::fit(self, data, &mut rng)
-    }
-
-    fn fit_stream(
-        &self,
-        source: &mut dyn fm_data::stream::RowSource,
-        mut rng: &mut dyn RngCore,
-    ) -> Result<PoissonModel> {
-        DpPoissonRegression::fit_stream(self, source, &mut rng)
-    }
-
-    fn epsilon(&self) -> Option<f64> {
-        Some(self.config.epsilon)
-    }
-
-    fn delta(&self) -> Option<f64> {
-        self.config.delta()
-    }
-
-    fn task(&self) -> ModelKind {
-        ModelKind::Poisson
+        self.family.y_max
     }
 }
 

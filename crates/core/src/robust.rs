@@ -1,7 +1,8 @@
 //! ε-differentially private **robust regression**: median (smoothed
 //! pinball/check loss, after Chen et al. 2020, "Median regression with
 //! differential privacy") and **Huber** regression, both as first-class
-//! [`RegressionObjective`]s on the generic [`FmEstimator`] core.
+//! [`RegressionObjective`]s on the generic
+//! [`crate::estimator::FmEstimator`] core.
 //!
 //! ## The §5 scheme for residual losses
 //!
@@ -50,19 +51,15 @@
 //! through `‖x‖₂ ≤ 1` directly, giving the dimension-independent
 //! `Δ₂ = 2√(ρ_max² + c₁² + ¼c₂²)`.
 
-use rand::{Rng, RngCore};
-
 use fm_data::Dataset;
 use fm_poly::taylor::{
     huber_derivs, pseudo_huber_derivs, pseudo_huber_third_derivative_bound, smoothed_pinball_derivs,
 };
 use fm_poly::QuadraticForm;
 
-use crate::estimator::{
-    DpEstimator, EstimatorBuilder, FitConfig, FmEstimator, RegressionObjective,
-};
+use crate::estimator::{EstimatorBuilder, Family, FamilyEstimator, RegressionObjective};
 use crate::mechanism::{PolynomialObjective, SensitivityBound};
-use crate::model::{LinearModel, ModelKind};
+use crate::model::LinearModel;
 use crate::{FmError, Result};
 
 /// Default pinball smoothing half-width γ for [`MedianObjective`]: sharp
@@ -547,6 +544,14 @@ impl Default for MedianSettings {
     }
 }
 
+impl Family for MedianSettings {
+    type Objective = MedianObjective;
+
+    fn objective(&self) -> Result<MedianObjective> {
+        MedianObjective::new(self.smoothing)
+    }
+}
+
 /// Builder for [`DpMedianRegression`]: the shared [`EstimatorBuilder`]
 /// knobs plus the smoothing half-width.
 pub type DpMedianRegressionBuilder = EstimatorBuilder<MedianSettings>;
@@ -560,23 +565,13 @@ impl DpMedianRegressionBuilder {
         self.family.smoothing = gamma;
         self
     }
-
-    /// Finalises the configuration.
-    #[must_use]
-    pub fn build(self) -> DpMedianRegression {
-        DpMedianRegression {
-            config: self.config,
-            settings: self.family,
-        }
-    }
 }
 
 /// ε-differentially private **median regression** via the Functional
-/// Mechanism — a thin wrapper that builds a [`MedianObjective`] from its
-/// configured smoothing and delegates the entire fit pipeline to the
-/// generic [`FmEstimator`] core. (A two-field struct rather than a type
-/// alias only because γ is validated at objective construction, and that
-/// error is reported at `fit` time.)
+/// Mechanism: the generic [`FamilyEstimator`] over [`MedianSettings`],
+/// which builds a [`MedianObjective`] from the configured smoothing at fit
+/// time (a bad γ is refused there). Data must satisfy `‖x‖₂ ≤ 1`,
+/// `y ∈ [−1, 1]`.
 ///
 /// ```
 /// use fm_core::robust::DpMedianRegression;
@@ -591,81 +586,13 @@ impl DpMedianRegressionBuilder {
 ///     .unwrap();
 /// assert_eq!(model.dim(), 3);
 /// ```
-#[derive(Debug, Clone)]
-pub struct DpMedianRegression {
-    config: FitConfig,
-    settings: MedianSettings,
-}
+pub type DpMedianRegression = FamilyEstimator<MedianSettings>;
 
 impl DpMedianRegression {
-    /// Starts a builder with defaults (ε = 1, paper sensitivity,
-    /// regularize-then-trim, no intercept, γ = [`DEFAULT_SMOOTHING`]).
-    #[must_use]
-    pub fn builder() -> DpMedianRegressionBuilder {
-        DpMedianRegressionBuilder::default()
-    }
-
-    /// The configured privacy budget.
-    #[must_use]
-    pub fn epsilon(&self) -> f64 {
-        self.config.epsilon
-    }
-
     /// The configured smoothing half-width.
     #[must_use]
     pub fn smoothing(&self) -> f64 {
-        self.settings.smoothing
-    }
-
-    /// The shared fit configuration.
-    #[must_use]
-    pub fn config(&self) -> &FitConfig {
-        &self.config
-    }
-
-    /// Instantiates the generic core for the configured smoothing.
-    fn estimator(&self) -> Result<FmEstimator<MedianObjective>> {
-        Ok(FmEstimator::new(
-            MedianObjective::new(self.settings.smoothing)?,
-            self.config,
-        ))
-    }
-
-    /// Fits an ε-DP median-regression model on `data` (`‖x‖₂ ≤ 1`,
-    /// `y ∈ [−1, 1]`).
-    ///
-    /// # Errors
-    /// As [`FmEstimator::fit`], plus [`FmError::InvalidConfig`] for a bad γ.
-    pub fn fit(&self, data: &Dataset, rng: &mut impl Rng) -> Result<LinearModel> {
-        self.estimator()?.fit(data, rng)
-    }
-
-    /// Fits an ε-DP median-regression model from a streaming
-    /// [`fm_data::stream::RowSource`] — see
-    /// [`FmEstimator::fit_stream`]: bounded memory, bit-identical to
-    /// [`DpMedianRegression::fit`] on the materialized data at the same
-    /// seed.
-    ///
-    /// # Errors
-    /// As [`DpMedianRegression::fit`], plus transport errors from the
-    /// source.
-    pub fn fit_stream(
-        &self,
-        source: &mut (impl fm_data::stream::RowSource + ?Sized),
-        rng: &mut impl Rng,
-    ) -> Result<LinearModel> {
-        self.estimator()?.fit_stream(source, rng)
-    }
-
-    /// Fits the *non-private* minimiser of the truncated objective (the
-    /// median analogue of the `Truncated` baseline) — isolates surrogate
-    /// bias from privacy noise.
-    ///
-    /// # Errors
-    /// [`FmError::Data`] / [`FmError::Optim`] on contract violation or a
-    /// degenerate surrogate Hessian.
-    pub fn fit_truncated_without_privacy(&self, data: &Dataset) -> Result<LinearModel> {
-        self.estimator()?.fit_without_privacy(data)
+        self.family.smoothing
     }
 
     /// Fits the *exact* (non-truncated, non-private) smoothed-median loss
@@ -676,36 +603,8 @@ impl DpMedianRegression {
     /// [`FmError::Data`] on contract violation, [`FmError::Optim`] on
     /// solver breakdown.
     pub fn fit_exact_without_privacy(&self, data: &Dataset) -> Result<LinearModel> {
-        let objective = MedianObjective::new(self.settings.smoothing)?;
+        let objective = self.family.objective()?;
         fit_exact_residual(data, self.config.fit_intercept, |u| objective.derivs(u))
-    }
-}
-
-impl DpEstimator for DpMedianRegression {
-    type Model = LinearModel;
-
-    fn fit(&self, data: &Dataset, mut rng: &mut dyn RngCore) -> Result<LinearModel> {
-        DpMedianRegression::fit(self, data, &mut rng)
-    }
-
-    fn fit_stream(
-        &self,
-        source: &mut dyn fm_data::stream::RowSource,
-        mut rng: &mut dyn RngCore,
-    ) -> Result<LinearModel> {
-        DpMedianRegression::fit_stream(self, source, &mut rng)
-    }
-
-    fn epsilon(&self) -> Option<f64> {
-        Some(self.config.epsilon)
-    }
-
-    fn delta(&self) -> Option<f64> {
-        self.config.delta()
-    }
-
-    fn task(&self) -> ModelKind {
-        ModelKind::Linear
     }
 }
 
@@ -723,6 +622,14 @@ impl Default for QuantileSettings {
             tau: 0.5,
             smoothing: DEFAULT_SMOOTHING,
         }
+    }
+}
+
+impl Family for QuantileSettings {
+    type Objective = QuantileObjective;
+
+    fn objective(&self) -> Result<QuantileObjective> {
+        QuantileObjective::new(self.tau, self.smoothing)
     }
 }
 
@@ -745,22 +652,14 @@ impl DpQuantileRegressionBuilder {
         self.family.smoothing = gamma;
         self
     }
-
-    /// Finalises the configuration.
-    #[must_use]
-    pub fn build(self) -> DpQuantileRegression {
-        DpQuantileRegression {
-            config: self.config,
-            settings: self.family,
-        }
-    }
 }
 
 /// ε-differentially private **quantile regression** at general τ via the
-/// Functional Mechanism — the τ-generalization of [`DpMedianRegression`],
-/// over a [`QuantileObjective`]. At τ = ½ it releases exactly what the
-/// median estimator releases (same loss, same sensitivity, same noise
-/// stream).
+/// Functional Mechanism — the τ-generalization of [`DpMedianRegression`]:
+/// the generic [`FamilyEstimator`] over [`QuantileSettings`], which builds
+/// a [`QuantileObjective`] at fit time (a bad τ or γ is refused there). At
+/// τ = ½ it releases exactly what the median estimator releases (same
+/// loss, same sensitivity, same noise stream).
 ///
 /// ```
 /// use fm_core::robust::DpQuantileRegression;
@@ -776,84 +675,19 @@ impl DpQuantileRegressionBuilder {
 ///     .unwrap();
 /// assert_eq!(model.dim(), 2);
 /// ```
-#[derive(Debug, Clone)]
-pub struct DpQuantileRegression {
-    config: FitConfig,
-    settings: QuantileSettings,
-}
+pub type DpQuantileRegression = FamilyEstimator<QuantileSettings>;
 
 impl DpQuantileRegression {
-    /// Starts a builder with defaults (ε = 1, paper sensitivity,
-    /// regularize-then-trim, no intercept, τ = ½,
-    /// γ = [`DEFAULT_SMOOTHING`]).
-    #[must_use]
-    pub fn builder() -> DpQuantileRegressionBuilder {
-        DpQuantileRegressionBuilder::default()
-    }
-
-    /// The configured privacy budget.
-    #[must_use]
-    pub fn epsilon(&self) -> f64 {
-        self.config.epsilon
-    }
-
     /// The configured quantile level.
     #[must_use]
     pub fn tau(&self) -> f64 {
-        self.settings.tau
+        self.family.tau
     }
 
     /// The configured smoothing half-width.
     #[must_use]
     pub fn smoothing(&self) -> f64 {
-        self.settings.smoothing
-    }
-
-    /// The shared fit configuration.
-    #[must_use]
-    pub fn config(&self) -> &FitConfig {
-        &self.config
-    }
-
-    /// Instantiates the generic core for the configured τ and smoothing.
-    fn estimator(&self) -> Result<FmEstimator<QuantileObjective>> {
-        Ok(FmEstimator::new(
-            QuantileObjective::new(self.settings.tau, self.settings.smoothing)?,
-            self.config,
-        ))
-    }
-
-    /// Fits an ε-DP quantile-regression model on `data` (`‖x‖₂ ≤ 1`,
-    /// `y ∈ [−1, 1]`).
-    ///
-    /// # Errors
-    /// As [`FmEstimator::fit`], plus [`FmError::InvalidConfig`] for a bad
-    /// τ or γ.
-    pub fn fit(&self, data: &Dataset, rng: &mut impl Rng) -> Result<LinearModel> {
-        self.estimator()?.fit(data, rng)
-    }
-
-    /// Fits an ε-DP quantile-regression model from a streaming
-    /// [`fm_data::stream::RowSource`] — see [`FmEstimator::fit_stream`].
-    ///
-    /// # Errors
-    /// As [`DpQuantileRegression::fit`], plus transport errors from the
-    /// source.
-    pub fn fit_stream(
-        &self,
-        source: &mut (impl fm_data::stream::RowSource + ?Sized),
-        rng: &mut impl Rng,
-    ) -> Result<LinearModel> {
-        self.estimator()?.fit_stream(source, rng)
-    }
-
-    /// Fits the *non-private* minimiser of the truncated objective.
-    ///
-    /// # Errors
-    /// [`FmError::Data`] / [`FmError::Optim`] on contract violation or a
-    /// degenerate surrogate Hessian.
-    pub fn fit_truncated_without_privacy(&self, data: &Dataset) -> Result<LinearModel> {
-        self.estimator()?.fit_without_privacy(data)
+        self.family.smoothing
     }
 
     /// Fits the *exact* (non-truncated, non-private) smoothed-pinball loss
@@ -864,36 +698,8 @@ impl DpQuantileRegression {
     /// [`FmError::Data`] on contract violation, [`FmError::Optim`] on
     /// solver breakdown.
     pub fn fit_exact_without_privacy(&self, data: &Dataset) -> Result<LinearModel> {
-        let objective = QuantileObjective::new(self.settings.tau, self.settings.smoothing)?;
+        let objective = self.family.objective()?;
         fit_exact_residual(data, self.config.fit_intercept, |u| objective.derivs(u))
-    }
-}
-
-impl DpEstimator for DpQuantileRegression {
-    type Model = LinearModel;
-
-    fn fit(&self, data: &Dataset, mut rng: &mut dyn RngCore) -> Result<LinearModel> {
-        DpQuantileRegression::fit(self, data, &mut rng)
-    }
-
-    fn fit_stream(
-        &self,
-        source: &mut dyn fm_data::stream::RowSource,
-        mut rng: &mut dyn RngCore,
-    ) -> Result<LinearModel> {
-        DpQuantileRegression::fit_stream(self, source, &mut rng)
-    }
-
-    fn epsilon(&self) -> Option<f64> {
-        Some(self.config.epsilon)
-    }
-
-    fn delta(&self) -> Option<f64> {
-        self.config.delta()
-    }
-
-    fn task(&self) -> ModelKind {
-        ModelKind::Linear
     }
 }
 
@@ -911,6 +717,14 @@ impl Default for HuberSettings {
     }
 }
 
+impl Family for HuberSettings {
+    type Objective = HuberObjective;
+
+    fn objective(&self) -> Result<HuberObjective> {
+        HuberObjective::new(self.threshold)
+    }
+}
+
 /// Builder for [`DpHuberRegression`]: the shared [`EstimatorBuilder`]
 /// knobs plus the Huber threshold.
 pub type DpHuberRegressionBuilder = EstimatorBuilder<HuberSettings>;
@@ -924,20 +738,12 @@ impl DpHuberRegressionBuilder {
         self.family.threshold = delta;
         self
     }
-
-    /// Finalises the configuration.
-    #[must_use]
-    pub fn build(self) -> DpHuberRegression {
-        DpHuberRegression {
-            config: self.config,
-            settings: self.family,
-        }
-    }
 }
 
 /// ε-differentially private **Huber regression** via the Functional
-/// Mechanism — the same thin-wrapper shape as [`DpMedianRegression`], over
-/// a [`HuberObjective`].
+/// Mechanism — the same shape as [`DpMedianRegression`]: the generic
+/// [`FamilyEstimator`] over [`HuberSettings`], which builds a
+/// [`HuberObjective`] at fit time (a bad δ is refused there).
 ///
 /// ```
 /// use fm_core::robust::DpHuberRegression;
@@ -953,76 +759,13 @@ impl DpHuberRegressionBuilder {
 ///     .unwrap();
 /// assert_eq!(model.dim(), 2);
 /// ```
-#[derive(Debug, Clone)]
-pub struct DpHuberRegression {
-    config: FitConfig,
-    settings: HuberSettings,
-}
+pub type DpHuberRegression = FamilyEstimator<HuberSettings>;
 
 impl DpHuberRegression {
-    /// Starts a builder with defaults (ε = 1, paper sensitivity,
-    /// regularize-then-trim, no intercept, δ = [`DEFAULT_HUBER_DELTA`]).
-    #[must_use]
-    pub fn builder() -> DpHuberRegressionBuilder {
-        DpHuberRegressionBuilder::default()
-    }
-
-    /// The configured privacy budget.
-    #[must_use]
-    pub fn epsilon(&self) -> f64 {
-        self.config.epsilon
-    }
-
     /// The configured Huber threshold.
     #[must_use]
     pub fn threshold(&self) -> f64 {
-        self.settings.threshold
-    }
-
-    /// The shared fit configuration.
-    #[must_use]
-    pub fn config(&self) -> &FitConfig {
-        &self.config
-    }
-
-    /// Instantiates the generic core for the configured threshold.
-    fn estimator(&self) -> Result<FmEstimator<HuberObjective>> {
-        Ok(FmEstimator::new(
-            HuberObjective::new(self.settings.threshold)?,
-            self.config,
-        ))
-    }
-
-    /// Fits an ε-DP Huber-regression model on `data` (`‖x‖₂ ≤ 1`,
-    /// `y ∈ [−1, 1]`).
-    ///
-    /// # Errors
-    /// As [`FmEstimator::fit`], plus [`FmError::InvalidConfig`] for a bad δ.
-    pub fn fit(&self, data: &Dataset, rng: &mut impl Rng) -> Result<LinearModel> {
-        self.estimator()?.fit(data, rng)
-    }
-
-    /// Fits an ε-DP Huber-regression model from a streaming
-    /// [`fm_data::stream::RowSource`] — see [`FmEstimator::fit_stream`].
-    ///
-    /// # Errors
-    /// As [`DpHuberRegression::fit`], plus transport errors from the
-    /// source.
-    pub fn fit_stream(
-        &self,
-        source: &mut (impl fm_data::stream::RowSource + ?Sized),
-        rng: &mut impl Rng,
-    ) -> Result<LinearModel> {
-        self.estimator()?.fit_stream(source, rng)
-    }
-
-    /// Fits the *non-private* minimiser of the truncated objective.
-    ///
-    /// # Errors
-    /// [`FmError::Data`] / [`FmError::Optim`] on contract violation or a
-    /// degenerate surrogate Hessian.
-    pub fn fit_truncated_without_privacy(&self, data: &Dataset) -> Result<LinearModel> {
-        self.estimator()?.fit_without_privacy(data)
+        self.family.threshold
     }
 
     /// Fits the *exact* (non-truncated, non-private) Huber loss by
@@ -1032,36 +775,8 @@ impl DpHuberRegression {
     /// [`FmError::Data`] on contract violation, [`FmError::Optim`] on
     /// solver breakdown.
     pub fn fit_exact_without_privacy(&self, data: &Dataset) -> Result<LinearModel> {
-        let objective = HuberObjective::new(self.settings.threshold)?;
+        let objective = self.family.objective()?;
         fit_exact_residual(data, self.config.fit_intercept, |u| objective.derivs(u))
-    }
-}
-
-impl DpEstimator for DpHuberRegression {
-    type Model = LinearModel;
-
-    fn fit(&self, data: &Dataset, mut rng: &mut dyn RngCore) -> Result<LinearModel> {
-        DpHuberRegression::fit(self, data, &mut rng)
-    }
-
-    fn fit_stream(
-        &self,
-        source: &mut dyn fm_data::stream::RowSource,
-        mut rng: &mut dyn RngCore,
-    ) -> Result<LinearModel> {
-        DpHuberRegression::fit_stream(self, source, &mut rng)
-    }
-
-    fn epsilon(&self) -> Option<f64> {
-        Some(self.config.epsilon)
-    }
-
-    fn delta(&self) -> Option<f64> {
-        self.config.delta()
-    }
-
-    fn task(&self) -> ModelKind {
-        ModelKind::Linear
     }
 }
 
@@ -1069,7 +784,7 @@ impl DpEstimator for DpHuberRegression {
 /// footnote-2 intercept augmentation exactly as the private fit path does,
 /// minimise the exact residual loss, and wrap/split the weights — so the
 /// non-private reference is comparable to `fit()` under every
-/// [`FitConfig`], intercept included.
+/// [`crate::estimator::FitConfig`], intercept included.
 fn fit_exact_residual(
     data: &Dataset,
     fit_intercept: bool,
@@ -1126,6 +841,10 @@ fn minimize_residual_loss(data: &Dataset, derivs: impl Fn(f64) -> [f64; 3]) -> R
         .map_err(FmError::from)?;
     Ok(result.omega)
 }
+
+// The unit tests below reach these through `use super::*`.
+#[cfg(test)]
+use crate::{estimator::DpEstimator, model::ModelKind};
 
 #[cfg(test)]
 mod tests {

@@ -674,7 +674,7 @@ impl SharedInner {
         } else {
             record_renyi(&mut self.rdp, epsilon, delta);
         }
-        self.fits += 1;
+        self.fits = self.fits.saturating_add(1);
     }
 
     /// Settles reservation `id` **exactly once**, returning the quanta
@@ -853,7 +853,7 @@ impl SharedPrivacySession {
                 }
                 let _ = inner.rdp.record_opaque(eps, delta);
                 inner.tenants.insert(tenant.to_string(), (eps, delta));
-                inner.fits += fits;
+                inner.fits = inner.fits.saturating_add(fits);
                 spent_units = spent_units.saturating_add(eps_to_units(eps));
             }
             for r in wal.open_reservations() {
@@ -2201,5 +2201,33 @@ mod tests {
             report.basic.0
         );
         assert_eq!(report.best, report.advanced);
+    }
+
+    #[test]
+    fn reopen_refuses_infinite_totals_and_saturates_fit_counts() {
+        use fm_privacy::wal::{frame, WAL_MAGIC};
+        let dir = std::env::temp_dir().join(format!("fm-wal-totals-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("totals.wal");
+        let write_log = |records: &[&str]| {
+            let mut text = frame(WAL_MAGIC) + "\n";
+            for record in records {
+                text.push_str(&(frame(record) + "\n"));
+            }
+            std::fs::write(&path, text).unwrap();
+        };
+
+        // An ε total that overflows to ∞ is refused, not dropped from the
+        // ledger.
+        write_log(&["spent 1e308 0 1 t", "spent 1e308 0 1 t"]);
+        assert!(SharedPrivacySession::with_wal(&path, None).is_err());
+
+        // Per-tenant fit counts in range still sum past usize::MAX across
+        // tenants; the session's count saturates.
+        let max = usize::MAX;
+        write_log(&[&format!("spent 0.5 0 {max} a"), "spent 0.5 0 1 b"]);
+        let (session, _) = SharedPrivacySession::with_wal(&path, None).unwrap();
+        assert_eq!(session.committed_fits(), usize::MAX);
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -1546,7 +1546,7 @@ impl ChannelConsumer {
 }
 
 #[cfg(feature = "parallel")]
-pub use self::prefetch::{PrefetchSource, ScopedPrefetchSource};
+pub use self::prefetch::PrefetchSource;
 
 #[cfg(feature = "parallel")]
 mod prefetch {
@@ -1582,9 +1582,9 @@ mod prefetch {
         worker: Option<JoinHandle<()>>,
     }
 
-    /// The read-ahead loop both prefetch variants run on their worker
-    /// thread: pull blocks from the inner source and push them down the
-    /// bounded channel until exhaustion, error, or consumer hangup.
+    /// The read-ahead loop of the worker thread: pull blocks from the
+    /// inner source and push them down the bounded channel until
+    /// exhaustion, error, or consumer hangup.
     ///
     /// A panicking inner source must not turn into a silent early EOF on
     /// the consumer side (the channel hanging up is otherwise
@@ -1662,79 +1662,6 @@ mod prefetch {
         fn drop(&mut self) {
             // Hang up first so a worker blocked on a full channel exits,
             // then reap it.
-            self.feed.disconnect();
-            if let Some(worker) = self.worker.take() {
-                let _ = worker.join();
-            }
-        }
-    }
-
-    /// [`PrefetchSource`] for **borrowed** sources: the worker runs on a
-    /// [`std::thread::Scope`], so the inner source only needs
-    /// `Send + 'scope` instead of `Send + 'static`. This is what lets a
-    /// serve worker overlap transport with assembly on a source it does
-    /// not own — a `&mut CsvStreamSource` borrowed from the job, a view
-    /// over a tenant's staged shard — without cloning it into a
-    /// `'static` box first.
-    ///
-    /// Identical transport semantics to [`PrefetchSource`] (same bounded
-    /// channel, same ordering, same panic surfacing, and therefore the
-    /// same bit-identical-coefficients guarantee); the only difference is
-    /// where the worker's lifetime is anchored. The scope's implicit join
-    /// cannot deadlock on a full channel: dropping the
-    /// `ScopedPrefetchSource` (which every exit path out of the scope
-    /// does first) hangs up the channel and the worker exits.
-    #[derive(Debug)]
-    pub struct ScopedPrefetchSource<'scope> {
-        feed: ChannelConsumer,
-        worker: Option<std::thread::ScopedJoinHandle<'scope, ()>>,
-    }
-
-    impl<'scope> ScopedPrefetchSource<'scope> {
-        /// Moves `source` to a thread spawned on `scope` that reads ahead
-        /// blocks of `block_rows` rows, buffering at most `depth` parsed
-        /// blocks (both clamped to ≥ 1).
-        pub fn spawn<'env, S>(
-            scope: &'scope std::thread::Scope<'scope, 'env>,
-            source: S,
-            block_rows: usize,
-            depth: usize,
-        ) -> Self
-        where
-            S: RowSource + Send + 'scope,
-        {
-            let d = source.dim();
-            let hint0 = source.hint_rows();
-            let block_rows = block_rows.max(1);
-            let (tx, rx) = std::sync::mpsc::sync_channel(depth.max(1));
-            let worker = scope.spawn(move || run_worker(source, block_rows, tx));
-            ScopedPrefetchSource {
-                feed: ChannelConsumer::new(d, hint0, rx),
-                worker: Some(worker),
-            }
-        }
-    }
-
-    impl RowSource for ScopedPrefetchSource<'_> {
-        fn dim(&self) -> usize {
-            self.feed.dim()
-        }
-
-        fn hint_rows(&self) -> Option<usize> {
-            self.feed.hint_rows()
-        }
-
-        fn next_block(&mut self, max_rows: usize) -> Result<Option<RowBlock>> {
-            self.feed.next_block(max_rows)
-        }
-
-        fn for_each_block(&mut self, max_rows: usize, f: &mut BlockVisitor<'_>) -> Result<()> {
-            self.feed.for_each_block(max_rows, f)
-        }
-    }
-
-    impl Drop for ScopedPrefetchSource<'_> {
-        fn drop(&mut self) {
             self.feed.disconnect();
             if let Some(worker) = self.worker.take() {
                 let _ = worker.join();
@@ -2266,31 +2193,6 @@ mod tests {
                 assert_eq!(ys, data.y());
             }
         }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn scoped_prefetch_drains_borrowed_sources_identically() {
-        let data = small();
-        // `InMemorySource` borrows `data`, so it is not `'static`: exactly
-        // the source the unscoped `PrefetchSource::spawn` cannot accept.
-        for block_rows in [1usize, 2, 64] {
-            let got = std::thread::scope(|s| {
-                let inner = InMemorySource::new(&data);
-                let mut pf = ScopedPrefetchSource::spawn(s, inner, block_rows, 2);
-                assert_eq!(pf.dim(), 2);
-                assert_eq!(pf.hint_rows(), Some(data.n()));
-                materialize(&mut pf).unwrap()
-            });
-            assert_eq!(got.x().as_slice(), data.x().as_slice());
-            assert_eq!(got.y(), data.y());
-        }
-        // Dropping mid-stream inside the scope (worker possibly blocked on
-        // a full channel) must not deadlock the scope's implicit join.
-        std::thread::scope(|s| {
-            let pf = ScopedPrefetchSource::spawn(s, InMemorySource::new(&data), 1, 1);
-            drop(pf);
-        });
     }
 
     #[cfg(feature = "parallel")]

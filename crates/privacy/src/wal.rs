@@ -484,10 +484,7 @@ impl WalLedger {
                     .open
                     .remove(&id)
                     .ok_or_else(|| corrupt(OP, format!("commit of unknown reservation {id}")))?;
-                let slot = self.committed.entry(res.tenant).or_insert((0.0, 0.0, 0));
-                slot.0 += res.epsilon;
-                slot.1 += res.delta;
-                slot.2 += 1;
+                self.replay_settled(res.tenant, res.epsilon, res.delta, 1)?;
                 self.settled_records += 1;
             }
             Some("abort") => {
@@ -511,14 +508,11 @@ impl WalLedger {
                     (Some(e), Some(d), Some(n), Some(t), None) => (e, d, n, t),
                     _ => return Err(corrupt(OP, format!("malformed spent record {body:?}"))),
                 };
-                let slot = self
-                    .committed
-                    .entry(tenant.to_owned())
-                    .or_insert((0.0, 0.0, 0));
-                slot.0 += parse_total(OP, "epsilon", eps)?;
-                slot.1 += parse_total(OP, "delta", delta)?;
-                slot.2 += usize::try_from(parse_u64(OP, "fit count", fits)?)
+                let eps = parse_total(OP, "epsilon", eps)?;
+                let delta = parse_total(OP, "delta", delta)?;
+                let fits = usize::try_from(parse_u64(OP, "fit count", fits)?)
                     .map_err(|_| corrupt(OP, "fit count overflows usize"))?;
+                self.replay_settled(tenant.to_owned(), eps, delta, fits)?;
             }
             other => {
                 return Err(corrupt(
@@ -528,6 +522,31 @@ impl WalLedger {
             }
         }
         Ok(())
+    }
+
+    /// Adds a replayed settlement to `tenant`'s committed totals. A fit
+    /// count past `usize::MAX` or a non-finite ε/δ total is corruption: the
+    /// session rebuilt from this log could not account for it.
+    fn replay_settled(
+        &mut self,
+        tenant: String,
+        epsilon: f64,
+        delta: f64,
+        fits: usize,
+    ) -> Result<()> {
+        const OP: &str = "recover";
+        let slot = self.committed.entry(tenant).or_insert((0.0, 0.0, 0));
+        let (eps_total, delta_total) = (slot.0 + epsilon, slot.1 + delta);
+        match slot.2.checked_add(fits) {
+            Some(fits_total) if eps_total.is_finite() && delta_total.is_finite() => {
+                *slot = (eps_total, delta_total, fits_total);
+                Ok(())
+            }
+            _ => Err(corrupt(
+                OP,
+                "a tenant's committed ε, δ or fit count overflows",
+            )),
+        }
     }
 
     /// Appends a framed, newline-terminated record and fsyncs it.
@@ -670,7 +689,9 @@ impl WalLedger {
     /// Number of settled fits plus open reservations.
     #[must_use]
     pub fn fits(&self) -> usize {
-        self.committed.values().map(|&(_, _, n)| n).sum::<usize>() + self.open.len()
+        self.committed
+            .values()
+            .fold(self.open.len(), |total, &(_, _, n)| total.saturating_add(n))
     }
 
     /// Per-tenant committed totals `(tenant, Σε, Σδ, fits)` in tenant order
@@ -993,6 +1014,33 @@ mod tests {
     #[test]
     fn replay_refuses_a_non_finite_reservation() {
         let opened = open_with_records("nan-eps", &["reserve 2 NaN 0 t l"]);
+        assert!(matches!(opened, Err(PrivacyError::Durability { .. })));
+    }
+
+    #[test]
+    fn replay_refuses_fit_counts_that_overflow() {
+        let max = usize::MAX;
+        let opened = open_with_records(
+            "fits-overflow",
+            &[&format!("spent 0.5 0 {max} t"), "spent 0.5 0 1 t"],
+        );
+        assert!(matches!(opened, Err(PrivacyError::Durability { .. })));
+    }
+
+    #[test]
+    fn fit_counts_across_tenants_saturate() {
+        let max = usize::MAX;
+        let (wal, _) = open_with_records(
+            "fits-tenants",
+            &[&format!("spent 0.5 0 {max} a"), "spent 0.5 0 1 b"],
+        )
+        .unwrap();
+        assert_eq!(wal.fits(), usize::MAX);
+    }
+
+    #[test]
+    fn replay_refuses_an_infinite_epsilon_total() {
+        let opened = open_with_records("eps-overflow", &["spent 1e308 0 1 t", "spent 1e308 0 1 t"]);
         assert!(matches!(opened, Err(PrivacyError::Durability { .. })));
     }
 

@@ -67,7 +67,9 @@
 //! * [`core::estimator::FmEstimator`]`<O>` is Algorithm 1 over any
 //!   [`core::estimator::RegressionObjective`] `O` —
 //!   `DpLinearRegression` *is* `FmEstimator<LinearObjective>`, and the
-//!   logistic/Poisson front-ends are two-field wrappers over the same
+//!   logistic, Poisson, median, quantile and Huber estimators are aliases
+//!   of one [`core::estimator::FamilyEstimator`]`<F>`, which builds the
+//!   family's objective from its knobs at fit time and runs the same
 //!   core;
 //! * the dyn-compatible [`core::estimator::DpEstimator`] trait is
 //!   implemented by the private estimators **and** every `fm-baselines`
@@ -85,8 +87,9 @@
 //!
 //! The long-standing `builder()` entry points (`DpLinearRegression::builder()`
 //! and friends) are kept as thin forwarding shims over `FitConfig` +
-//! `FmEstimator`, so existing code migrates without breaking; new code can
-//! construct `FmEstimator::new(objective, config)` directly. The shims are
+//! `FmEstimator` (or `FamilyEstimator`), so existing code migrates
+//! without breaking; new code can construct
+//! `FmEstimator::new(objective, config)` directly. The shims are
 //! not going away soon — they are one `build()` away from the generic
 //! core — but new *capabilities* (budget sessions, generic CV, mixed
 //! line-ups) land on the trait surface only.

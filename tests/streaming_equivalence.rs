@@ -11,10 +11,13 @@
 //! this suite is the machine check that no refactor silently breaks it.
 
 use functional_mechanism::core::assembly::{assemble_shards, CoefficientAccumulator};
-use functional_mechanism::core::estimator::{DpEstimator, FitConfig, FmEstimator};
+use functional_mechanism::core::estimator::{
+    DpEstimator, Family, FamilyEstimator, FitConfig, FmEstimator, RegressionObjective,
+};
 use functional_mechanism::core::generic::QuarticObjective;
 use functional_mechanism::core::linreg::{DpLinearRegression, LinearObjective};
-use functional_mechanism::core::logreg::DpLogisticRegression;
+use functional_mechanism::core::logreg::{Approximation, DpLogisticRegression};
+use functional_mechanism::core::poisson::DpPoissonRegression;
 use functional_mechanism::core::robust::{DpMedianRegression, DpQuantileRegression};
 use functional_mechanism::core::session::PrivacySession;
 use functional_mechanism::core::sparse::SparseFmEstimator;
@@ -621,6 +624,64 @@ fn trait_level_fit_sharded_matches_the_inherent_assembly_path() {
         (Err(_), Err(_)) => {}
         other => panic!("outcome mismatch {other:?}"),
     }
+
+    // And for the families behind FamilyEstimator: the trait call must
+    // assemble per shard, not regroup the sums over the shard union.
+    let logistic = synth::logistic_dataset(&mut r, 2_000, 3, 8.0);
+    let counts = synth::poisson_dataset(&mut r, 2_000, 3, 8.0);
+    for intercept in [false, true] {
+        let taylor = DpLogisticRegression::builder()
+            .fit_intercept(intercept)
+            .build();
+        assert_family_dyn_sharding_matches("logistic taylor", &taylor, &logistic);
+        let chebyshev = DpLogisticRegression::builder()
+            .approximation(Approximation::Chebyshev { half_width: 1.0 })
+            .fit_intercept(intercept)
+            .build();
+        assert_family_dyn_sharding_matches("logistic chebyshev", &chebyshev, &logistic);
+        let poisson = DpPoissonRegression::builder()
+            .fit_intercept(intercept)
+            .build();
+        assert_family_dyn_sharding_matches("poisson", &poisson, &counts);
+        let median = DpMedianRegression::builder()
+            .fit_intercept(intercept)
+            .build();
+        assert_family_dyn_sharding_matches("median", &median, &data);
+    }
+}
+
+/// Asserts that a family estimator's dyn `DpEstimator::fit_sharded`
+/// releases exactly what its inherent `fit_sharded` releases, over
+/// 700/800/500-row shards of `data`.
+fn assert_family_dyn_sharding_matches<F: Family>(
+    what: &str,
+    est: &FamilyEstimator<F>,
+    data: &Dataset,
+) where
+    <F::Objective as RegressionObjective>::Model: PartialEq + std::fmt::Debug,
+{
+    let idx: Vec<usize> = (0..data.n()).collect();
+    let parts = [
+        data.subset(&idx[..700]).unwrap(),
+        data.subset(&idx[700..1_500]).unwrap(),
+        data.subset(&idx[1_500..]).unwrap(),
+    ];
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut shards: Vec<InMemorySource> = parts.iter().map(InMemorySource::new).collect();
+    let inherent = est.fit_sharded(&mut shards, &mut rng).unwrap();
+
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut a = InMemorySource::new(&parts[0]);
+    let mut b = InMemorySource::new(&parts[1]);
+    let mut c = InMemorySource::new(&parts[2]);
+    let mut dyn_shards: Vec<&mut (dyn RowSource + Send)> = vec![&mut a, &mut b, &mut c];
+    let via_trait = DpEstimator::fit_sharded(est, &mut dyn_shards, &mut rng).unwrap();
+    assert_eq!(
+        inherent,
+        via_trait,
+        "{what} intercept={}",
+        est.config().fit_intercept
+    );
 }
 
 #[test]
