@@ -272,3 +272,185 @@ proptest! {
         }
     }
 }
+
+/// Dirty-CSV line kinds the stream proptest draws from.
+const LINE_KINDS: u8 = 10;
+
+/// One generated data line (without its line ending): kinds 0–4 are good
+/// rows, then blank, whitespace-only, a non-numeric field, a short row and
+/// a row that is not valid UTF-8.
+fn dirty_line(kind: u8, d: usize, seed: u32) -> Vec<u8> {
+    let value = |j: usize| f64::from((seed + 7 * j as u32) % 40) * 0.25 - 5.0;
+    let row = |fields: usize| {
+        (0..fields)
+            .map(|j| format!(" {}", value(j)))
+            .collect::<Vec<_>>()
+            .join(",")
+            .into_bytes()
+    };
+    match kind {
+        0..=4 => row(d + 1),
+        5 => Vec::new(),
+        6 => b" \t ".to_vec(),
+        7 => {
+            let mut line = row(d);
+            line.extend_from_slice(b",x");
+            line
+        }
+        8 => row(d),
+        _ => b"1,\xff".to_vec(),
+    }
+}
+
+/// One block-sized read: a block's rows flattened row-major with the label
+/// last (as bits), or an error token (`P<line>` parse, `U` UTF-8).
+type Pull = Result<Vec<u64>, String>;
+
+/// The reference reader: `BufRead::lines`, a plain field split and the
+/// row-error policy applied line by line.
+struct Reference<'a> {
+    lines: std::io::Lines<&'a [u8]>,
+    line: usize,
+    d: usize,
+    cap: Option<usize>,
+    quarantine: Vec<usize>,
+}
+
+impl<'a> Reference<'a> {
+    fn new(csv: &'a [u8], d: usize, cap: Option<usize>) -> Self {
+        use std::io::BufRead;
+        let mut lines = csv.lines();
+        lines.next();
+        Reference {
+            lines,
+            line: 1,
+            d,
+            cap,
+            quarantine: Vec::new(),
+        }
+    }
+
+    fn next_block(&mut self, k: usize) -> Option<Pull> {
+        let mut rows = Vec::new();
+        let mut n = 0;
+        while n < k {
+            let Some(line) = self.lines.next() else { break };
+            let Ok(line) = line else {
+                return Some(Err("U".to_string()));
+            };
+            self.line += 1;
+            if line.trim().is_empty() {
+                continue;
+            }
+            let fields: Option<Vec<f64>> = line
+                .split(',')
+                .map(|f| f.trim().parse::<f64>().ok())
+                .collect();
+            match fields {
+                Some(fields) if fields.len() == self.d + 1 => {
+                    rows.extend(fields.iter().map(|v| v.to_bits()));
+                    n += 1;
+                }
+                _ => match self.cap {
+                    Some(cap) if self.quarantine.len() < cap => self.quarantine.push(self.line),
+                    _ => return Some(Err(format!("P{}", self.line))),
+                },
+            }
+        }
+        (n > 0).then_some(Ok(rows))
+    }
+}
+
+fn pull_token(e: &fm_data::DataError) -> String {
+    match e {
+        fm_data::DataError::Parse { line, .. } => format!("P{line}"),
+        fm_data::DataError::Io(io) if io.kind() == std::io::ErrorKind::InvalidData => {
+            "U".to_string()
+        }
+        other => panic!("unexpected error kind: {other}"),
+    }
+}
+
+fn flatten(xs: &[f64], ys: &[f64], d: usize) -> Vec<u64> {
+    xs.chunks_exact(d)
+        .zip(ys)
+        .flat_map(|(x, &y)| {
+            x.iter()
+                .chain([&y])
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `CsvStreamSource` against the reference reader on random dirty CSV:
+    /// the same rows, block sizes, errors (in file order, resuming after
+    /// each) and quarantine list, through `next_block` at a cycle of
+    /// random sizes and through a re-entered `for_each_block`.
+    #[test]
+    fn csv_stream_matches_a_reference_lines_reader(
+        d in 1usize..4,
+        lines in collection::vec((0u8..LINE_KINDS, 0u32..1_000, prop_bool::ANY), 0..48),
+        final_newline in prop_bool::ANY,
+        policy in 0usize..5,
+        sizes in collection::vec(1usize..7, 1..4),
+    ) {
+        use fm_data::stream::{CsvStreamSource, RowErrorPolicy, RowSource};
+        let mut csv: Vec<u8> = (0..d).map(|j| format!("f{j},")).collect::<String>().into_bytes();
+        csv.extend_from_slice(b"label\n");
+        for (i, &(kind, seed, crlf)) in lines.iter().enumerate() {
+            csv.extend(dirty_line(kind, d, seed));
+            if i + 1 < lines.len() || final_newline {
+                csv.extend_from_slice(if crlf { b"\r\n" } else { b"\n" });
+            }
+        }
+        let cap = policy.checked_sub(1);
+        let open = || {
+            CsvStreamSource::from_reader(&csv[..])
+                .unwrap()
+                .with_row_error_policy(cap.map_or(RowErrorPolicy::Strict, RowErrorPolicy::SkipUpTo))
+        };
+        let max_calls = 2 * lines.len() + 4;
+
+        // Owned blocks at a cycle of sizes.
+        let mut reference = Reference::new(&csv, d, cap);
+        let mut src = open();
+        for call in 0..max_calls {
+            let k = sizes[call % sizes.len()];
+            let want = reference.next_block(k);
+            let got = match src.next_block(k) {
+                Ok(block) => block.map(|b| Ok(flatten(b.xs(), b.ys(), d))),
+                Err(e) => Some(Err(pull_token(&e))),
+            };
+            prop_assert_eq!(&got, &want, "call {} at {} rows", call, k);
+            if want.is_none() {
+                break;
+            }
+        }
+        let quarantined: Vec<usize> = src.quarantine().iter().map(|q| q.line).collect();
+        prop_assert_eq!(&quarantined, &reference.quarantine);
+
+        // Borrowed blocks, re-entering the drain after each error.
+        let k = sizes[0];
+        let mut reference = Reference::new(&csv, d, cap);
+        let want: Vec<Pull> = std::iter::from_fn(|| reference.next_block(k)).take(max_calls).collect();
+        let mut src = open();
+        let mut got: Vec<Pull> = Vec::new();
+        for _ in 0..max_calls {
+            let drained = src.for_each_block(k, &mut |b| {
+                got.push(Ok(flatten(b.xs(), b.ys(), d)));
+                Ok(())
+            });
+            match drained {
+                Ok(()) => break,
+                Err(e) => got.push(Err(pull_token(&e))),
+            }
+        }
+        prop_assert_eq!(&got, &want);
+        let quarantined: Vec<usize> = src.quarantine().iter().map(|q| q.line).collect();
+        prop_assert_eq!(&quarantined, &reference.quarantine);
+    }
+}
