@@ -6,13 +6,14 @@
 //! `proptest` and `criterion`.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
-use fm_linalg::Matrix;
-
 use crate::dataset::Dataset;
-use crate::{DataError, Result};
+use crate::stream::{drain, CsvStreamSource};
+#[cfg(doc)]
+use crate::DataError;
+use crate::Result;
 
 /// Writes a dataset as CSV: header `feature..., label`, one row per tuple.
 ///
@@ -52,102 +53,28 @@ pub fn write_dataset_to(data: &Dataset, w: &mut impl Write) -> Result<()> {
 /// # Errors
 /// [`DataError::Io`] / [`DataError::Parse`] on malformed content.
 pub fn read_dataset(path: &Path) -> Result<Dataset> {
-    let file = File::open(path)?;
-    read_dataset_from(BufReader::new(file))
+    read_dataset_from(File::open(path)?)
 }
 
-/// Reads a dataset from any reader; see [`read_dataset`].
+/// Reads a dataset from any reader; see [`read_dataset`]. The rows come
+/// from a [`CsvStreamSource`] drained whole, so the dialect, the parse
+/// and its error lines are the streaming reader's.
 ///
 /// # Errors
-/// [`DataError::Io`] / [`DataError::Parse`] on malformed content.
+/// [`DataError::Io`] / [`DataError::Parse`] on malformed content;
+/// [`DataError::EmptyDataset`] when the file has no data rows.
 pub fn read_dataset_from(r: impl Read) -> Result<Dataset> {
-    let reader = BufReader::new(r);
-    let mut lines = reader.lines();
-    let header = lines.next().ok_or(DataError::Parse {
-        line: 1,
-        detail: "empty file".to_string(),
-    })??;
-    let columns: Vec<String> = header.split(',').map(|s| s.trim().to_string()).collect();
-    if columns.len() < 2 {
-        return Err(DataError::Parse {
-            line: 1,
-            detail: "need at least one feature column and a label column".to_string(),
-        });
-    }
-    let d = columns.len() - 1;
-    let names: Vec<String> = columns[..d].to_vec();
-
-    let mut data = Vec::new();
-    let mut y = Vec::new();
-    for (lineno, line) in lines.enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        y.push(parse_numeric_row(&line, d, lineno + 2, &mut data)?);
-    }
-    let n = y.len();
-    if n == 0 {
-        return Err(DataError::EmptyDataset);
-    }
-    let x = Matrix::from_vec(n, d, data)?;
+    let mut source = CsvStreamSource::from_reader(r)?;
+    let names = source.feature_names().to_vec();
+    let (x, y) = drain(&mut source)?;
     Dataset::with_names(x, y, names)
-}
-
-/// Parses one data line of the CSV dialect (`d` feature fields then the
-/// label), appending the features to `xs` and returning the label — shared
-/// by the materializing reader above and the streaming
-/// [`crate::stream::CsvStreamSource`], so the two can never drift on
-/// dialect details. `lineno` is the 1-based file line for error reporting.
-pub(crate) fn parse_numeric_row(
-    line: &str,
-    d: usize,
-    lineno: usize,
-    xs: &mut Vec<f64>,
-) -> Result<f64> {
-    // Single pass: parse-while-counting (this is the streaming reader's
-    // hot loop — a separate field-count scan would read every line
-    // twice). On any error the partial row is rolled back so callers
-    // keep a consistent buffer.
-    let start = xs.len();
-    let mut label = 0.0;
-    let mut fields = 0usize;
-    let mut it = line.split(',');
-    for v in it.by_ref() {
-        if fields == d + 1 {
-            let total = fields + 1 + it.count();
-            xs.truncate(start);
-            return Err(DataError::Parse {
-                line: lineno,
-                detail: format!("expected {} fields, found {total}", d + 1),
-            });
-        }
-        match v.trim().parse::<f64>() {
-            Ok(parsed) if fields < d => xs.push(parsed),
-            Ok(parsed) => label = parsed,
-            Err(_) => {
-                xs.truncate(start);
-                return Err(DataError::Parse {
-                    line: lineno,
-                    detail: format!("`{v}` is not a number"),
-                });
-            }
-        }
-        fields += 1;
-    }
-    if fields != d + 1 {
-        xs.truncate(start);
-        return Err(DataError::Parse {
-            line: lineno,
-            detail: format!("expected {} fields, found {fields}", d + 1),
-        });
-    }
-    Ok(label)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DataError;
+    use fm_linalg::Matrix;
 
     fn sample() -> Dataset {
         let x = Matrix::from_rows(&[&[0.25, -1.5], &[3.0, 0.0]]).unwrap();

@@ -157,9 +157,9 @@ impl Normalizer {
     }
 
     /// Applies the footnote-1 feature map to a single raw row, appending
-    /// the `d` normalized coordinates to `out` — the per-row form streaming
-    /// ingestion uses so a CSV never has to be materialized before
-    /// normalization. Values are clamped to their declared domains first,
+    /// the `d` normalized coordinates to `out` — the per-row form of the
+    /// map, which streaming ingestion applies in place to each parsed row
+    /// so a CSV never has to be materialized before normalization. Values are clamped to their declared domains first,
     /// exactly as [`Normalizer::normalize_linear`] does; the arithmetic is
     /// identical operation for operation, so a streamed row is
     /// **bit-identical** to the same row of the matrix path.
@@ -168,17 +168,33 @@ impl Normalizer {
     /// [`DataError::InvalidParameter`] when `raw.len()` differs from the
     /// normalizer's feature count.
     pub fn normalize_features_row(&self, raw: &[f64], out: &mut Vec<f64>) -> Result<()> {
+        let start = out.len();
+        out.extend_from_slice(raw);
+        self.normalize_features_in_place(&mut out[start..])
+            .map_err(|e| {
+                out.truncate(start);
+                e
+            })
+    }
+
+    /// [`Normalizer::normalize_features_row`] in place: replaces the `d`
+    /// raw values of `row` by their normalized coordinates, with the same
+    /// arithmetic.
+    ///
+    /// # Errors
+    /// [`DataError::InvalidParameter`] when `row.len()` differs from the
+    /// normalizer's feature count.
+    pub(crate) fn normalize_features_in_place(&self, row: &mut [f64]) -> Result<()> {
         let d = self.d();
-        if raw.len() != d {
+        if row.len() != d {
             return Err(DataError::InvalidParameter {
                 name: "row",
-                reason: format!("row has {} features, normalizer expects {d}", raw.len()),
+                reason: format!("row has {} features, normalizer expects {d}", row.len()),
             });
         }
         let sqrt_d = (d as f64).sqrt();
-        out.reserve(d);
-        for (&v, &(lo, hi)) in raw.iter().zip(&self.feature_bounds) {
-            out.push((v.clamp(lo, hi) - lo) / ((hi - lo) * sqrt_d));
+        for (v, &(lo, hi)) in row.iter_mut().zip(&self.feature_bounds) {
+            *v = (v.clamp(lo, hi) - lo) / ((hi - lo) * sqrt_d);
         }
         Ok(())
     }

@@ -43,12 +43,11 @@
 //! takes can never perturb released coefficients.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, Lines, Read};
+use std::io::{self, BufRead, BufReader, Read};
 use std::path::Path;
 
 use fm_linalg::Matrix;
 
-use crate::csv::parse_numeric_row;
 use crate::dataset::{check_shape, Dataset};
 use crate::normalize::Normalizer;
 use crate::{DataError, Result};
@@ -437,6 +436,72 @@ pub enum LabelTransform {
     },
 }
 
+impl LabelTransform {
+    /// Maps one raw label, with the label bounds of `norm`.
+    fn apply(self, norm: &Normalizer, y_raw: f64) -> f64 {
+        match self {
+            LabelTransform::Raw => y_raw,
+            LabelTransform::Linear => norm.normalize_label(y_raw),
+            LabelTransform::Binarize { threshold } => {
+                if y_raw > threshold {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+        }
+    }
+}
+
+/// The value of one selected CSV field, or why it has none. A NaN or an
+/// infinity would pass the normalizer's clamp and break the row contract
+/// later, so a field that parses to one is refused like text.
+fn field_value(v: &str) -> std::result::Result<f64, &'static str> {
+    match v.trim().parse::<f64>() {
+        Ok(parsed) if parsed.is_finite() => Ok(parsed),
+        Ok(_) => Err("is not a finite number"),
+        Err(_) => Err("is not a number"),
+    }
+}
+
+/// Parses one data line of the default dialect (`row.len()` feature
+/// fields, then the label) into `row` and returns the label. `lineno` is
+/// the 1-based file line for error reporting; after an error `row` holds
+/// whatever was parsed before it.
+fn parse_numeric_row(line: &str, lineno: usize, row: &mut [f64]) -> Result<f64> {
+    // Single pass: parse while counting, so no line is scanned twice.
+    let d = row.len();
+    let mut label = 0.0;
+    let mut fields = 0usize;
+    let mut it = line.split(',');
+    for v in it.by_ref() {
+        if fields == d + 1 {
+            let total = fields + 1 + it.count();
+            return Err(DataError::Parse {
+                line: lineno,
+                detail: format!("expected {} fields, found {total}", d + 1),
+            });
+        }
+        let parsed = field_value(v).map_err(|reason| DataError::Parse {
+            line: lineno,
+            detail: format!("`{v}` {reason}"),
+        })?;
+        if fields < d {
+            row[fields] = parsed;
+        } else {
+            label = parsed;
+        }
+        fields += 1;
+    }
+    if fields != d + 1 {
+        return Err(DataError::Parse {
+            line: lineno,
+            detail: format!("expected {} fields, found {fields}", d + 1),
+        });
+    }
+    Ok(label)
+}
+
 /// What a raw CSV field position contributes to the mapped row.
 #[derive(Debug, Clone, Copy)]
 enum ColumnRole {
@@ -460,11 +525,9 @@ struct ColumnMap {
 
 impl ColumnMap {
     /// Parses one data line under this mapping: selected features land in
-    /// `out` (resized to `d`, output order), the label is returned,
-    /// unselected fields are skipped without parsing.
-    fn parse_row(&self, line: &str, d: usize, lineno: usize, out: &mut Vec<f64>) -> Result<f64> {
-        out.clear();
-        out.resize(d, 0.0);
+    /// `row` (output order), the label is returned, unselected fields are
+    /// skipped without parsing.
+    fn parse_row(&self, line: &str, lineno: usize, row: &mut [f64]) -> Result<f64> {
         let mut label = 0.0;
         let mut fields = 0usize;
         for v in line.split(',') {
@@ -478,21 +541,17 @@ impl ColumnMap {
                     ),
                 });
             }
-            match self.roles[fields] {
-                ColumnRole::Skip => {}
-                role => match v.trim().parse::<f64>() {
-                    Ok(parsed) => match role {
-                        ColumnRole::Feature(slot) => out[slot] = parsed,
-                        ColumnRole::Label => label = parsed,
-                        ColumnRole::Skip => unreachable!("skip handled above"),
-                    },
-                    Err(_) => {
-                        return Err(DataError::Parse {
-                            line: lineno,
-                            detail: format!("field {}: `{v}` is not a number", fields + 1),
-                        });
-                    }
-                },
+            let role = self.roles[fields];
+            if !matches!(role, ColumnRole::Skip) {
+                let parsed = field_value(v).map_err(|reason| DataError::Parse {
+                    line: lineno,
+                    detail: format!("field {}: `{v}` {reason}", fields + 1),
+                })?;
+                match role {
+                    ColumnRole::Feature(slot) => row[slot] = parsed,
+                    ColumnRole::Label => label = parsed,
+                    ColumnRole::Skip => unreachable!("skip handled above"),
+                }
             }
             fields += 1;
         }
@@ -506,13 +565,240 @@ impl ColumnMap {
     }
 }
 
+/// Most lines one parse window holds, so the byte window stays bounded
+/// whatever `max_rows` a caller asks for; a larger block takes several
+/// windows.
+const WINDOW_LINES: usize = 8_192;
+
+/// Fewest lines a parse range holds. A window shorter than two ranges is
+/// parsed on the calling thread, so small blocks spawn no thread: a
+/// spawned range must parse long enough to repay the thread the vendored
+/// rayon starts for it. Draining a 370,000-line census CSV (d = 13) on a
+/// 2-vCPU x86 host, blocks split into two ranges of 512 lines parsed no
+/// faster than whole (232 vs 226 ms a drain), two of 1,024 gained 13%
+/// (193 vs 222 ms) and two of 2,048 gained 23% (177 vs 230 ms).
+#[cfg(feature = "parallel")]
+const MIN_RANGE_LINES: usize = 1_024;
+
+/// One data line in the parse window: its bytes (line ending stripped)
+/// and its 1-based line number.
+#[derive(Debug, Clone, Copy)]
+struct WindowLine {
+    start: usize,
+    end: usize,
+    no: usize,
+}
+
+/// The lines a [`CsvStreamSource`] has read but not yet consumed: data
+/// lines only (blank ones are counted and dropped), back to back in one
+/// byte buffer reused across blocks.
+#[derive(Debug, Default)]
+struct LineWindow {
+    bytes: Vec<u8>,
+    lines: Vec<WindowLine>,
+    /// Index of the first line not yet consumed.
+    next: usize,
+    /// A reader error met while filling, reported once every line read
+    /// before it is consumed.
+    error: Option<io::Error>,
+}
+
+impl LineWindow {
+    /// The lines read but not yet consumed.
+    fn pending(&self) -> &[WindowLine] {
+        &self.lines[self.next..]
+    }
+
+    /// Drops the consumed lines, then reads until `need` lines are
+    /// pending, the reader is exhausted or it fails. `line_no` counts
+    /// every line read, blank or not.
+    fn fill<R: Read>(&mut self, reader: &mut BufReader<R>, line_no: &mut usize, need: usize) {
+        let kept_from = self
+            .lines
+            .get(self.next)
+            .map_or(self.bytes.len(), |l| l.start);
+        self.bytes.drain(..kept_from);
+        self.lines.drain(..self.next);
+        for line in &mut self.lines {
+            line.start -= kept_from;
+            line.end -= kept_from;
+        }
+        self.next = 0;
+        while self.lines.len() < need && self.error.is_none() {
+            let start = self.bytes.len();
+            match reader.read_until(b'\n', &mut self.bytes) {
+                Ok(0) => break,
+                Ok(_) => *line_no += 1,
+                Err(e) => {
+                    // `BufRead::lines` drops a line its reader fails in.
+                    self.bytes.truncate(start);
+                    self.error = Some(e);
+                    break;
+                }
+            }
+            strip_line_ending(&mut self.bytes, start);
+            if is_blank(&self.bytes[start..]) {
+                self.bytes.truncate(start);
+            } else {
+                self.lines.push(WindowLine {
+                    start,
+                    end: self.bytes.len(),
+                    no: *line_no,
+                });
+            }
+        }
+    }
+}
+
+/// Strips what `BufRead::lines` strips from the line that starts at
+/// `start`: a `\n`, then one `\r` before it.
+fn strip_line_ending(bytes: &mut Vec<u8>, start: usize) {
+    if bytes.len() > start && bytes.last() == Some(&b'\n') {
+        bytes.pop();
+        if bytes.len() > start && bytes.last() == Some(&b'\r') {
+            bytes.pop();
+        }
+    }
+}
+
+/// Whether a line is empty or whitespace as `str::trim` sees it. Only a
+/// line whose first non-blank byte is not ASCII is decoded to decide.
+fn is_blank(line: &[u8]) -> bool {
+    match line.iter().find(|b| !matches!(b, b'\t'..=b'\r' | b' ')) {
+        None => true,
+        Some(b) if b.is_ascii() => false,
+        Some(_) => std::str::from_utf8(line).is_ok_and(|s| s.trim().is_empty()),
+    }
+}
+
+/// The error `BufRead::lines` gives for a line that is not UTF-8.
+fn invalid_utf8() -> DataError {
+    DataError::Io(io::Error::new(
+        io::ErrorKind::InvalidData,
+        "stream did not contain valid UTF-8",
+    ))
+}
+
+/// A parsed line that yields no row: its index in the window batch and
+/// why.
+type FailedLine = (usize, DataError);
+
+/// The per-line parse, shared read-only by the ranges of a window.
+#[derive(Clone, Copy)]
+struct LineParser<'a> {
+    d: usize,
+    map: Option<&'a ColumnMap>,
+    normalizer: Option<&'a (Normalizer, LabelTransform)>,
+}
+
+impl LineParser<'_> {
+    /// Parses one line into `row` and returns its label: UTF-8 decoding,
+    /// the field parse, then the normalizer.
+    fn parse(&self, bytes: &[u8], lineno: usize, row: &mut [f64]) -> Result<f64> {
+        let line = std::str::from_utf8(bytes).map_err(|_| invalid_utf8())?;
+        let y = match self.map {
+            None => parse_numeric_row(line, lineno, row)?,
+            Some(map) => map.parse_row(line, lineno, row)?,
+        };
+        match self.normalizer {
+            None => Ok(y),
+            Some((norm, label)) => {
+                norm.normalize_features_in_place(row)?;
+                Ok(label.apply(norm, y))
+            }
+        }
+    }
+
+    /// Parses `lines` into the rows of `xs`/`ys` and returns the failed
+    /// ones, numbered from `offset`, in order. It stops after `budget`
+    /// failures or at a line that is not UTF-8: resolving the failures in
+    /// file order aborts there at the latest.
+    fn parse_range(
+        &self,
+        bytes: &[u8],
+        lines: &[WindowLine],
+        xs: &mut [f64],
+        ys: &mut [f64],
+        budget: usize,
+        offset: usize,
+    ) -> Vec<FailedLine> {
+        let mut failed = Vec::new();
+        let rows = xs.chunks_exact_mut(self.d).zip(ys);
+        for (i, (line, (row, y))) in lines.iter().zip(rows).enumerate() {
+            match self.parse(&bytes[line.start..line.end], line.no, row) {
+                Ok(label) => *y = label,
+                Err(e) => {
+                    let aborts = matches!(e, DataError::Io(_));
+                    failed.push((offset + i, e));
+                    if aborts || failed.len() == budget {
+                        break;
+                    }
+                }
+            }
+        }
+        failed
+    }
+
+    /// Parses a batch of lines into the rows of `xs`/`ys` and returns the
+    /// failed lines in file order. Under the `parallel` feature a batch of
+    /// at least two `MIN_RANGE_LINES` is cut into contiguous ranges, at
+    /// most one per worker, mapped in order on rayon.
+    fn parse_lines(
+        &self,
+        bytes: &[u8],
+        lines: &[WindowLine],
+        xs: &mut [f64],
+        ys: &mut [f64],
+        budget: usize,
+    ) -> Vec<FailedLine> {
+        #[cfg(feature = "parallel")]
+        {
+            let ranges = (lines.len() / MIN_RANGE_LINES).min(rayon::current_num_threads());
+            if ranges > 1 {
+                use rayon::prelude::*;
+                let len = lines.len().div_ceil(ranges);
+                let work: Vec<_> = lines
+                    .chunks(len)
+                    .zip(xs.chunks_mut(len * self.d))
+                    .zip(ys.chunks_mut(len))
+                    .enumerate()
+                    .collect();
+                let failed: Vec<Vec<FailedLine>> = work
+                    .into_par_iter()
+                    .map(|(r, ((lines, xs), ys))| {
+                        self.parse_range(bytes, lines, xs, ys, budget, r * len)
+                    })
+                    .collect();
+                return failed.into_iter().flatten().collect();
+            }
+        }
+        self.parse_range(bytes, lines, xs, ys, budget, 0)
+    }
+}
+
+/// Moves the block rows `rows` down to start at row `to`.
+fn close_up(xs: &mut [f64], ys: &mut [f64], d: usize, rows: std::ops::Range<usize>, to: usize) {
+    if to != rows.start {
+        xs.copy_within(rows.start * d..rows.end * d, to * d);
+        ys.copy_within(rows, to);
+    }
+}
+
 /// A [`RowSource`] that reads, normalizes and clamps rows straight out of
 /// a numeric CSV (same dialect as [`crate::csv::read_dataset`]: one header
 /// row, label last) **without materializing the file** — the out-of-core
 /// entry point. Peak memory is one [`RowBlock`] of the caller's requested
-/// size, whatever the file size; the visitor path
-/// ([`RowSource::for_each_block`]) parses into buffers reused across
-/// blocks, so a whole-file drain performs no per-block allocation.
+/// size plus its byte window (the text of the block's lines, at most
+/// 8,192 of them), whatever the file size; the visitor path
+/// ([`RowSource::for_each_block`]) reuses the block buffers and the window
+/// across blocks, so a whole-file drain allocates no rows or text per
+/// block.
+///
+/// Each block's lines are read on the calling thread, then parsed in
+/// contiguous ranges — across cores under the `parallel` feature, for
+/// blocks long enough to repay a thread. Row errors are resolved in file
+/// order after the parse, so the rows, the quarantine report and the
+/// error lines never depend on how the lines were split.
 ///
 /// Foreign CSVs whose columns are named but not laid out in the expected
 /// order (or that carry extra columns) can be re-keyed by header name
@@ -531,7 +817,9 @@ impl ColumnMap {
 /// quarantine report.
 #[derive(Debug)]
 pub struct CsvStreamSource<R> {
-    lines: Lines<BufReader<R>>,
+    reader: BufReader<R>,
+    /// Lines read ahead of the parse.
+    window: LineWindow,
     /// The full header, in file order (features *and* label columns).
     header: Vec<String>,
     /// Selected feature names, in output order.
@@ -543,8 +831,6 @@ pub struct CsvStreamSource<R> {
     /// Header-driven column mapping; `None` = the default dialect (every
     /// column a feature in file order, label last).
     map: Option<ColumnMap>,
-    /// Scratch reused across rows (raw parsed features of one row).
-    raw_row: Vec<f64>,
     /// Block buffers reused across blocks by the visitor path.
     block_xs: Vec<f64>,
     block_ys: Vec<f64>,
@@ -555,9 +841,10 @@ pub struct CsvStreamSource<R> {
 }
 
 /// What a [`CsvStreamSource`] does with a row that fails to parse or
-/// normalize (a *row error*: malformed field, wrong arity, non-finite
-/// value). Transport failures — the underlying reader erroring out — are
-/// never skippable; they abort the stream under every policy.
+/// normalize (a *row error*: malformed field, wrong arity, a selected
+/// field that is not a finite number). Transport failures — the
+/// underlying reader erroring out, a line that is not UTF-8 — are never
+/// skippable; they abort the stream under every policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RowErrorPolicy {
     /// Fail the stream on the first bad row (the default).
@@ -619,86 +906,26 @@ impl CsvStreamSource<File> {
     }
 }
 
-/// Reads one block of up to `want` rows into `xs`/`ys` (appending) — the
-/// single row loop shared by the owned and borrowed block paths, so the
-/// two can never drift on dialect, mapping or normalization details.
-#[allow(clippy::too_many_arguments)]
-fn read_csv_block<R: Read>(
-    lines: &mut Lines<BufReader<R>>,
-    line_no: &mut usize,
-    d: usize,
-    map: Option<&ColumnMap>,
-    normalizer: Option<&(Normalizer, LabelTransform)>,
-    raw_row: &mut Vec<f64>,
-    want: usize,
-    xs: &mut Vec<f64>,
-    ys: &mut Vec<f64>,
-    policy: RowErrorPolicy,
-    quarantine: &mut Vec<QuarantinedRow>,
-) -> Result<()> {
-    while ys.len() < want {
-        let Some(line) = lines.next() else { break };
-        // Reader (transport) failures are never row errors: no policy
-        // skips them.
-        let line = line?;
-        *line_no += 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        raw_row.clear();
-        let y_raw = match map {
-            None => parse_numeric_row(&line, d, *line_no, raw_row),
-            Some(m) => m.parse_row(&line, d, *line_no, raw_row),
-        };
-        let y_raw = match y_raw {
-            Ok(y) => y,
-            Err(e) => {
-                quarantine_row(policy, quarantine, *line_no, e)?;
-                continue;
-            }
-        };
-        match normalizer {
-            None => {
-                xs.extend_from_slice(raw_row);
-                ys.push(y_raw);
-            }
-            Some((norm, label)) => {
-                let xs_mark = xs.len();
-                if let Err(e) = norm.normalize_features_row(raw_row, xs) {
-                    xs.truncate(xs_mark);
-                    quarantine_row(policy, quarantine, *line_no, e)?;
-                    continue;
-                }
-                ys.push(match *label {
-                    LabelTransform::Raw => y_raw,
-                    LabelTransform::Linear => norm.normalize_label(y_raw),
-                    LabelTransform::Binarize { threshold } => {
-                        if y_raw > threshold {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    }
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 impl<R: Read> CsvStreamSource<R> {
     /// Streams CSV rows from any reader; the header row is consumed
-    /// immediately to fix the dimensionality.
+    /// immediately to fix the dimensionality. A leading byte-order mark
+    /// is not part of the first column's name.
     ///
     /// # Errors
     /// [`DataError::Io`] / [`DataError::Parse`] on a missing or too-narrow
     /// header.
     pub fn from_reader(r: R) -> Result<Self> {
-        let mut lines = BufReader::new(r).lines();
-        let header = lines.next().ok_or(DataError::Parse {
-            line: 1,
-            detail: "empty file".to_string(),
-        })??;
+        let mut reader = BufReader::new(r);
+        let mut bytes = Vec::new();
+        if reader.read_until(b'\n', &mut bytes)? == 0 {
+            return Err(DataError::Parse {
+                line: 1,
+                detail: "empty file".to_string(),
+            });
+        }
+        strip_line_ending(&mut bytes, 0);
+        let header = std::str::from_utf8(&bytes).map_err(|_| invalid_utf8())?;
+        let header = header.strip_prefix('\u{feff}').unwrap_or(header);
         let columns: Vec<String> = header.split(',').map(|s| s.trim().to_string()).collect();
         if columns.len() < 2 {
             return Err(DataError::Parse {
@@ -708,14 +935,17 @@ impl<R: Read> CsvStreamSource<R> {
         }
         let d = columns.len() - 1;
         Ok(CsvStreamSource {
-            lines,
+            reader,
+            window: LineWindow {
+                bytes,
+                ..LineWindow::default()
+            },
             names: columns[..d].to_vec(),
             header: columns,
             d,
             line: 1,
             normalizer: None,
             map: None,
-            raw_row: Vec::new(),
             block_xs: Vec::new(),
             block_ys: Vec::new(),
             policy: RowErrorPolicy::Strict,
@@ -869,6 +1099,102 @@ impl<R: Read> CsvStreamSource<R> {
     pub fn header(&self) -> &[String] {
         &self.header
     }
+
+    /// Reads one block of up to `want` rows into `xs`/`ys` (appending) —
+    /// the single row loop of the owned and borrowed block paths, so the
+    /// two can never drift on dialect, mapping or normalization details.
+    ///
+    /// Each round reads the lines the block still lacks into the window
+    /// on this thread and parses them into the block in ranges (see
+    /// [`LineParser::parse_lines`]). It then resolves the failed lines in
+    /// file order: the row-error policy skips or aborts line by line, kept
+    /// rows close up over skipped ones, and a block that skips left short
+    /// takes another round. An abort consumes the lines up to the failing
+    /// one, so the next call resumes after it.
+    fn read_block(&mut self, want: usize, xs: &mut Vec<f64>, ys: &mut Vec<f64>) -> Result<()> {
+        let d = self.d;
+        let parser = LineParser {
+            d,
+            map: self.map.as_ref(),
+            normalizer: self.normalizer.as_ref(),
+        };
+        while ys.len() < want {
+            let need = (want - ys.len()).min(WINDOW_LINES);
+            self.window.fill(&mut self.reader, &mut self.line, need);
+            let batch = self.window.pending().len().min(need);
+            if batch == 0 {
+                return self.window.error.take().map_or(Ok(()), |e| Err(e.into()));
+            }
+            let base = ys.len();
+            xs.resize((base + batch) * d, 0.0);
+            ys.resize(base + batch, 0.0);
+            // Failures a range may stop after: at most this many can be
+            // resolved before one aborts.
+            let budget = match self.policy {
+                RowErrorPolicy::Strict => 1,
+                RowErrorPolicy::SkipUpTo(cap) => {
+                    cap.saturating_sub(self.quarantine.len()).saturating_add(1)
+                }
+            };
+            let lines = &self.window.pending()[..batch];
+            let failed = parser.parse_lines(
+                &self.window.bytes,
+                lines,
+                &mut xs[base * d..],
+                &mut ys[base..],
+                budget,
+            );
+            let mut kept = base;
+            let mut from = 0;
+            for (i, e) in failed {
+                let skipped = match e {
+                    DataError::Io(_) => Err(e),
+                    e => quarantine_row(self.policy, &mut self.quarantine, lines[i].no, e),
+                };
+                if let Err(e) = skipped {
+                    self.window.next += i + 1;
+                    if matches!(e, DataError::Io(_)) {
+                        // `BufRead::lines` does not count a line it
+                        // cannot decode; neither do the numbers after it.
+                        self.line -= 1;
+                        for line in &mut self.window.lines[self.window.next..] {
+                            line.no -= 1;
+                        }
+                    }
+                    return Err(e);
+                }
+                close_up(xs, ys, d, base + from..base + i, kept);
+                kept += i - from;
+                from = i + 1;
+            }
+            close_up(xs, ys, d, base + from..base + batch, kept);
+            kept += batch - from;
+            xs.truncate(kept * d);
+            ys.truncate(kept);
+            self.window.next += batch;
+        }
+        Ok(())
+    }
+
+    /// The visitor loop of [`RowSource::for_each_block`], over the block
+    /// buffers `xs`/`ys`.
+    fn visit_blocks(
+        &mut self,
+        want: usize,
+        xs: &mut Vec<f64>,
+        ys: &mut Vec<f64>,
+        f: &mut BlockVisitor<'_>,
+    ) -> Result<()> {
+        loop {
+            xs.clear();
+            ys.clear();
+            self.read_block(want, xs, ys)?;
+            if ys.is_empty() {
+                return Ok(());
+            }
+            f(RowBlockRef { xs, ys, d: self.d })?;
+        }
+    }
 }
 
 impl<R: Read> RowSource for CsvStreamSource<R> {
@@ -881,66 +1207,17 @@ impl<R: Read> RowSource for CsvStreamSource<R> {
         let d = self.d;
         let mut xs = Vec::with_capacity(want * d);
         let mut ys = Vec::with_capacity(want);
-        read_csv_block(
-            &mut self.lines,
-            &mut self.line,
-            d,
-            self.map.as_ref(),
-            self.normalizer.as_ref(),
-            &mut self.raw_row,
-            want,
-            &mut xs,
-            &mut ys,
-            self.policy,
-            &mut self.quarantine,
-        )?;
-        if ys.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(RowBlock { xs, ys, d }))
-        }
+        self.read_block(want, &mut xs, &mut ys)?;
+        Ok((!ys.is_empty()).then_some(RowBlock { xs, ys, d }))
     }
 
     fn for_each_block(&mut self, max_rows: usize, f: &mut BlockVisitor<'_>) -> Result<()> {
-        let want = max_rows.max(1);
-        loop {
-            let CsvStreamSource {
-                lines,
-                line,
-                d,
-                normalizer,
-                map,
-                raw_row,
-                block_xs,
-                block_ys,
-                policy,
-                quarantine,
-                ..
-            } = self;
-            block_xs.clear();
-            block_ys.clear();
-            read_csv_block(
-                lines,
-                line,
-                *d,
-                map.as_ref(),
-                normalizer.as_ref(),
-                raw_row,
-                want,
-                block_xs,
-                block_ys,
-                *policy,
-                quarantine,
-            )?;
-            if block_ys.is_empty() {
-                return Ok(());
-            }
-            f(RowBlockRef {
-                xs: block_xs,
-                ys: block_ys,
-                d: *d,
-            })?;
-        }
+        let mut xs = std::mem::take(&mut self.block_xs);
+        let mut ys = std::mem::take(&mut self.block_ys);
+        let drained = self.visit_blocks(max_rows.max(1), &mut xs, &mut ys, f);
+        self.block_xs = xs;
+        self.block_ys = ys;
+        drained
     }
 }
 
@@ -1569,9 +1846,13 @@ mod prefetch {
     /// this).
     ///
     /// Worth it when the inner source does real per-row work
-    /// ([`super::CsvStreamSource`]); an already-in-memory source gains
-    /// nothing and pays the channel hop. Available with the `parallel`
-    /// cargo feature.
+    /// ([`super::CsvStreamSource`]): the worker reads and parses the next
+    /// blocks while the consumer runs its kernels on the previous ones.
+    /// A CSV source parses each long block on every core by itself, so
+    /// the worker borrows the consumer's core while it parses; the
+    /// overlap pays most where reading or the consumer's kernels are
+    /// slow. An already-in-memory source gains nothing and pays the
+    /// channel hop. Available with the `parallel` cargo feature.
     ///
     /// A panic in the worker (i.e. in the inner source) is caught and
     /// surfaced to the consumer as [`crate::DataError::WorkerPanic`] — never a
@@ -1684,6 +1965,12 @@ const MATERIALIZE_BLOCK_ROWS: usize = 8_192;
 /// Transport errors from the source; [`DataError::EmptyDataset`] when the
 /// source yields no rows.
 pub fn materialize<S: RowSource + ?Sized>(source: &mut S) -> Result<Dataset> {
+    let (x, y) = drain(source)?;
+    Dataset::new(x, y)
+}
+
+/// The rows of [`materialize`], before they are named.
+pub(crate) fn drain<S: RowSource + ?Sized>(source: &mut S) -> Result<(Matrix, Vec<f64>)> {
     /// Preallocation ceiling: `hint_rows` is advisory, so a buggy (or
     /// hostile) hint must not trigger an unbounded up-front allocation —
     /// growth past this is amortized doubling, same as no hint at all.
@@ -1701,8 +1988,7 @@ pub fn materialize<S: RowSource + ?Sized>(source: &mut S) -> Result<Dataset> {
     if ys.is_empty() {
         return Err(DataError::EmptyDataset);
     }
-    let x = Matrix::from_vec(ys.len(), d, xs)?;
-    Dataset::new(x, ys)
+    Ok((Matrix::from_vec(ys.len(), d, xs)?, ys))
 }
 
 #[cfg(test)]
@@ -2462,5 +2748,53 @@ mod tests {
             }
             other => panic!("expected InShard, got {other}"),
         }
+    }
+
+    #[test]
+    fn csv_non_finite_fields_are_row_errors() {
+        let csv = "a,b,label\nNaN,0.3,0.0\n0.4,inf,2.0\n0.5,0.6,1.0\n0.1,0.2,-infinity\n";
+        let mut lax = CsvStreamSource::from_reader(csv.as_bytes())
+            .unwrap()
+            .with_row_error_policy(RowErrorPolicy::SkipUpTo(5));
+        assert_eq!(materialize(&mut lax).unwrap().y(), &[1.0]);
+        let lines: Vec<usize> = lax.quarantine().iter().map(|q| q.line).collect();
+        assert_eq!(lines, [2, 3, 5]);
+        assert!(lax.quarantine()[0]
+            .reason
+            .contains("`NaN` is not a finite number"));
+        // Header-keyed columns: selected fields are checked, skipped ones
+        // are not parsed at all.
+        let csv = "junk,b,a,label\nhello,NaN,0.1,0.0\ninf,0.2,0.3,-inf\nnan,0.2,0.3,1.0\n";
+        let mut lax = CsvStreamSource::from_reader(csv.as_bytes())
+            .unwrap()
+            .select_columns(&["a", "b"], "label")
+            .unwrap()
+            .with_row_error_policy(RowErrorPolicy::SkipUpTo(5));
+        assert_eq!(materialize(&mut lax).unwrap().x().as_slice(), &[0.3, 0.2]);
+        let lines: Vec<usize> = lax.quarantine().iter().map(|q| q.line).collect();
+        assert_eq!(lines, [2, 3]);
+        assert!(lax.quarantine()[1].reason.contains("field 4: `-inf`"));
+        // A NaN no longer slips past the normalizer's clamp.
+        let norm = Normalizer::from_bounds(vec![(0.0, 1.0); 2], (0.0, 1.0)).unwrap();
+        let mut strict = CsvStreamSource::from_reader("a,b,label\n0.5,NaN,0.5\n".as_bytes())
+            .unwrap()
+            .with_normalizer(norm, LabelTransform::Linear)
+            .unwrap();
+        assert!(matches!(
+            strict.next_block(8),
+            Err(DataError::Parse { line: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn csv_header_byte_order_mark_is_not_part_of_a_name() {
+        let csv = "\u{feff}a,b,label\n0.1,0.2,1.0\n";
+        let src = CsvStreamSource::from_reader(csv.as_bytes()).unwrap();
+        assert_eq!(src.feature_names(), ["a", "b"]);
+        assert_eq!(src.header(), ["a", "b", "label"]);
+        let mut src = src.select_columns(&["a", "b"], "label").unwrap();
+        assert_eq!(materialize(&mut src).unwrap().y(), &[1.0]);
+        let read = crate::csv::read_dataset_from(csv.as_bytes()).unwrap();
+        assert_eq!(read.feature_names(), ["a", "b"]);
     }
 }

@@ -236,3 +236,56 @@ fn skip_up_to_quarantines_in_file_order_and_tops_blocks_up() {
         .reason
         .contains("expected 3 fields, found 2"));
 }
+
+/// A file of `rows` good rows (label = file line) with `bad` lines
+/// replaced by a non-numeric field.
+fn long_file(rows: usize, bad: &[usize]) -> Vec<u8> {
+    let mut csv = b"a,b,label\n".to_vec();
+    for line in 2..rows + 2 {
+        let row = if bad.contains(&line) {
+            "x,0,0\n".to_string()
+        } else {
+            format!("0.5,{},{line}\n", line % 7)
+        };
+        csv.extend_from_slice(row.as_bytes());
+    }
+    csv
+}
+
+#[test]
+fn long_blocks_resolve_failures_across_parse_ranges() {
+    // Blocks of 5,000 and 9,000 lines span several parse ranges (and, at
+    // 9,000, two windows): failures in later ranges must skip, abort and
+    // resume at their own lines.
+    let bad = [100, 3_000, 4_900, 7_500];
+    let csv = long_file(12_000, &bad);
+    let mut src = open(&csv, RowErrorPolicy::SkipUpTo(8));
+    let block = src.next_block(5_000).unwrap().unwrap();
+    assert_eq!(block.rows(), 5_000);
+    let want: Vec<f64> = (2..5_005)
+        .filter(|l| !bad.contains(l))
+        .map(|l| l as f64)
+        .collect();
+    assert_eq!(block.ys(), want);
+    assert_eq!(block.xs()[1], 2.0);
+    assert_eq!(block.xs()[2 * 4_999 + 1], (5_004 % 7) as f64);
+    let block = src.next_block(9_000).unwrap().unwrap();
+    assert_eq!(block.rows(), 6_996);
+    assert_eq!(block.ys()[0], 5_005.0);
+    let quarantined: Vec<usize> = src.quarantine().iter().map(|q| q.line).collect();
+    assert_eq!(quarantined, bad);
+
+    // Strict: the first failure of each block aborts it, wherever its
+    // range, and the next call resumes after it.
+    let csv = long_file(12_000, &[4_900, 4_950]);
+    for k in [5_000, 9_000] {
+        let trace = pull(&csv, RowErrorPolicy::Strict, k);
+        let want = if k == 5_000 {
+            "P4900 P4950 5000 2051"
+        } else {
+            "P4900 P4950 7051"
+        };
+        assert_eq!(trace.tokens, want, "next_block({k})");
+        assert_eq!(visit(&csv, RowErrorPolicy::Strict, k), trace);
+    }
+}

@@ -273,33 +273,33 @@ proptest! {
     }
 }
 
-/// Dirty-CSV line kinds the stream proptest draws from.
-const LINE_KINDS: u8 = 10;
+/// Dirty-CSV line kinds the stream proptests draw from: kinds below it
+/// are listed at [`dirty_line`]; it and every kind above are good rows.
+const DIRTY_KINDS: u16 = 12;
 
-/// One generated data line (without its line ending): kinds 0–4 are good
-/// rows, then blank, whitespace-only, a non-numeric field, a short row and
-/// a row that is not valid UTF-8.
-fn dirty_line(kind: u8, d: usize, seed: u32) -> Vec<u8> {
+/// One generated data line (without its line ending): kinds 0–4 and from
+/// [`DIRTY_KINDS`] on are good rows; then blank, whitespace-only, a
+/// non-numeric field, a short row, a row that is not valid UTF-8, a NaN
+/// feature and an infinite label.
+fn dirty_line(kind: u16, d: usize, seed: u32) -> Vec<u8> {
     let value = |j: usize| f64::from((seed + 7 * j as u32) % 40) * 0.25 - 5.0;
     let row = |fields: usize| {
         (0..fields)
             .map(|j| format!(" {}", value(j)))
             .collect::<Vec<_>>()
             .join(",")
-            .into_bytes()
     };
-    match kind {
-        0..=4 => row(d + 1),
-        5 => Vec::new(),
-        6 => b" \t ".to_vec(),
-        7 => {
-            let mut line = row(d);
-            line.extend_from_slice(b",x");
-            line
-        }
+    let line = match kind {
+        5 => String::new(),
+        6 => " \t ".to_string(),
+        7 => row(d) + ",x",
         8 => row(d),
-        _ => b"1,\xff".to_vec(),
-    }
+        9 => return b"1,\xff".to_vec(),
+        10 => format!("NaN,{}", row(d)),
+        11 => row(d) + ",inf",
+        _ => row(d + 1),
+    };
+    line.into_bytes()
 }
 
 /// One block-sized read: a block's rows flattened row-major with the label
@@ -344,7 +344,7 @@ impl<'a> Reference<'a> {
             }
             let fields: Option<Vec<f64>> = line
                 .split(',')
-                .map(|f| f.trim().parse::<f64>().ok())
+                .map(|f| f.trim().parse::<f64>().ok().filter(|v| v.is_finite()))
                 .collect();
             match fields {
                 Some(fields) if fields.len() == self.d + 1 => {
@@ -383,74 +383,113 @@ fn flatten(xs: &[f64], ys: &[f64], d: usize) -> Vec<u64> {
         .collect()
 }
 
+/// Checks `CsvStreamSource` against the reference reader on one generated
+/// file (`lines` of `(kind, seed, CRLF?)`; `policy` 0 is Strict, `n` is
+/// `SkipUpTo(n − 1)`): the same rows, block sizes, errors (in file order,
+/// resuming after each) and quarantine list, through `next_block` at a
+/// cycle of `sizes` and through a `for_each_block` re-entered after each
+/// error.
+fn check_against_reference(
+    d: usize,
+    lines: &[(u16, u32, bool)],
+    final_newline: bool,
+    policy: usize,
+    sizes: &[usize],
+) {
+    use fm_data::stream::{CsvStreamSource, RowErrorPolicy, RowSource};
+    let mut csv: Vec<u8> = (0..d)
+        .map(|j| format!("f{j},"))
+        .collect::<String>()
+        .into_bytes();
+    csv.extend_from_slice(b"label\n");
+    for (i, &(kind, seed, crlf)) in lines.iter().enumerate() {
+        csv.extend(dirty_line(kind, d, seed));
+        if i + 1 < lines.len() || final_newline {
+            csv.extend_from_slice(if crlf { b"\r\n" } else { b"\n" });
+        }
+    }
+    let cap = policy.checked_sub(1);
+    let open = || {
+        CsvStreamSource::from_reader(&csv[..])
+            .unwrap()
+            .with_row_error_policy(cap.map_or(RowErrorPolicy::Strict, RowErrorPolicy::SkipUpTo))
+    };
+    let max_calls = 2 * lines.len() + 4;
+
+    // Owned blocks at a cycle of sizes.
+    let mut reference = Reference::new(&csv, d, cap);
+    let mut src = open();
+    for call in 0..max_calls {
+        let k = sizes[call % sizes.len()];
+        let want = reference.next_block(k);
+        let got = match src.next_block(k) {
+            Ok(block) => block.map(|b| Ok(flatten(b.xs(), b.ys(), d))),
+            Err(e) => Some(Err(pull_token(&e))),
+        };
+        assert_eq!(got, want, "call {call} at {k} rows");
+        if want.is_none() {
+            break;
+        }
+    }
+    let quarantined: Vec<usize> = src.quarantine().iter().map(|q| q.line).collect();
+    assert_eq!(quarantined, reference.quarantine);
+
+    // Borrowed blocks, re-entering the drain after each error.
+    let k = sizes[0];
+    let mut reference = Reference::new(&csv, d, cap);
+    let want: Vec<Pull> = std::iter::from_fn(|| reference.next_block(k))
+        .take(max_calls)
+        .collect();
+    let mut src = open();
+    let mut got: Vec<Pull> = Vec::new();
+    for _ in 0..max_calls {
+        let drained = src.for_each_block(k, &mut |b| {
+            got.push(Ok(flatten(b.xs(), b.ys(), d)));
+            Ok(())
+        });
+        match drained {
+            Ok(()) => break,
+            Err(e) => got.push(Err(pull_token(&e))),
+        }
+    }
+    assert_eq!(got, want);
+    let quarantined: Vec<usize> = src.quarantine().iter().map(|q| q.line).collect();
+    assert_eq!(quarantined, reference.quarantine);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `CsvStreamSource` against the reference reader on random dirty CSV:
-    /// the same rows, block sizes, errors (in file order, resuming after
-    /// each) and quarantine list, through `next_block` at a cycle of
-    /// random sizes and through a re-entered `for_each_block`.
+    /// Short files, dirty on about half their lines, at small blocks.
     #[test]
     fn csv_stream_matches_a_reference_lines_reader(
         d in 1usize..4,
-        lines in collection::vec((0u8..LINE_KINDS, 0u32..1_000, prop_bool::ANY), 0..48),
+        lines in collection::vec((0u16..DIRTY_KINDS, 0u32..1_000, prop_bool::ANY), 0..48),
         final_newline in prop_bool::ANY,
         policy in 0usize..5,
         sizes in collection::vec(1usize..7, 1..4),
     ) {
-        use fm_data::stream::{CsvStreamSource, RowErrorPolicy, RowSource};
-        let mut csv: Vec<u8> = (0..d).map(|j| format!("f{j},")).collect::<String>().into_bytes();
-        csv.extend_from_slice(b"label\n");
-        for (i, &(kind, seed, crlf)) in lines.iter().enumerate() {
-            csv.extend(dirty_line(kind, d, seed));
-            if i + 1 < lines.len() || final_newline {
-                csv.extend_from_slice(if crlf { b"\r\n" } else { b"\n" });
-            }
-        }
-        let cap = policy.checked_sub(1);
-        let open = || {
-            CsvStreamSource::from_reader(&csv[..])
-                .unwrap()
-                .with_row_error_policy(cap.map_or(RowErrorPolicy::Strict, RowErrorPolicy::SkipUpTo))
-        };
-        let max_calls = 2 * lines.len() + 4;
+        check_against_reference(d, &lines, final_newline, policy, &sizes);
+    }
+}
 
-        // Owned blocks at a cycle of sizes.
-        let mut reference = Reference::new(&csv, d, cap);
-        let mut src = open();
-        for call in 0..max_calls {
-            let k = sizes[call % sizes.len()];
-            let want = reference.next_block(k);
-            let got = match src.next_block(k) {
-                Ok(block) => block.map(|b| Ok(flatten(b.xs(), b.ys(), d))),
-                Err(e) => Some(Err(pull_token(&e))),
-            };
-            prop_assert_eq!(&got, &want, "call {} at {} rows", call, k);
-            if want.is_none() {
-                break;
-            }
-        }
-        let quarantined: Vec<usize> = src.quarantine().iter().map(|q| q.line).collect();
-        prop_assert_eq!(&quarantined, &reference.quarantine);
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
-        // Borrowed blocks, re-entering the drain after each error.
-        let k = sizes[0];
-        let mut reference = Reference::new(&csv, d, cap);
-        let want: Vec<Pull> = std::iter::from_fn(|| reference.next_block(k)).take(max_calls).collect();
-        let mut src = open();
-        let mut got: Vec<Pull> = Vec::new();
-        for _ in 0..max_calls {
-            let drained = src.for_each_block(k, &mut |b| {
-                got.push(Ok(flatten(b.xs(), b.ys(), d)));
-                Ok(())
-            });
-            match drained {
-                Ok(()) => break,
-                Err(e) => got.push(Err(pull_token(&e))),
-            }
-        }
-        prop_assert_eq!(&got, &want);
-        let quarantined: Vec<usize> = src.quarantine().iter().map(|q| q.line).collect();
-        prop_assert_eq!(&quarantined, &reference.quarantine);
+    /// Long files, dirty on about one line in 600 (one in 4,000 not
+    /// UTF-8, which aborts under every policy), at blocks long enough to
+    /// be parsed in several ranges and windows.
+    #[test]
+    fn csv_stream_matches_a_reference_lines_reader_on_long_blocks(
+        d in 1usize..4,
+        lines in collection::vec(
+            (0u16..4_000, 0u32..1_000, prop_bool::ANY),
+            2_000..20_000,
+        ),
+        final_newline in prop_bool::ANY,
+        policy in 0usize..200,
+        sizes in collection::vec(500usize..10_000, 1..4),
+    ) {
+        check_against_reference(d, &lines, final_newline, policy, &sizes);
     }
 }
