@@ -5,10 +5,12 @@
 //! fm-experiments --figure all --full          # the paper's exact protocol
 //! fm-experiments --figure fig6 --rows 100000 --repeats 10 --seed 7
 //! fm-experiments --figure ablation
+//! fm-experiments --figure kernels --rows 20000
 //! ```
 //!
-//! Results are printed as aligned tables and written as CSV under
-//! `results/`.
+//! `--full` sets the paper's protocol as the base; `--rows`, `--repeats`
+//! and `--seed` override it wherever they appear on the line. Results are
+//! printed as aligned tables and written as CSV under `results/`.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -23,43 +25,21 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut figure = String::from("all");
-    let mut cfg = EvalConfig::quick();
+    let (mut full, mut rows, mut repeats, mut seed) = (false, None, None, None);
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
+        let mut value = |flag: &str| argv.next().ok_or(format!("{flag} needs a value"));
         match arg.as_str() {
-            "--figure" => {
-                figure = argv.next().ok_or("--figure needs a value")?;
-            }
-            "--rows" => {
-                let rows: usize = argv
-                    .next()
-                    .ok_or("--rows needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--rows: {e}"))?;
-                cfg.rows_us = rows;
-                cfg.rows_brazil = (rows / 2).max(100);
-            }
-            "--repeats" => {
-                cfg.repeats = argv
-                    .next()
-                    .ok_or("--repeats needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--repeats: {e}"))?;
-            }
-            "--seed" => {
-                cfg.seed = argv
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--full" => {
-                cfg = EvalConfig::paper();
-            }
+            "--figure" => figure = value("--figure")?,
+            "--rows" => rows = Some(parse_number::<usize>("--rows", &value("--rows")?)?),
+            "--repeats" => repeats = Some(parse_number("--repeats", &value("--repeats")?)?),
+            "--seed" => seed = Some(parse_number("--seed", &value("--seed")?)?),
+            "--full" => full = true,
             "--help" | "-h" => {
                 println!(
                     "usage: fm-experiments [--figure fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|ablation|\n\
-                     \x20                               ablation-approx|ablation-noise|poisson|accounting|all]\n\
+                     \x20                               ablation-approx|ablation-noise|poisson|accounting|\n\
+                     \x20                               kernels|all]\n\
                      \x20                     [--rows N] [--repeats R] [--seed S] [--full]"
                 );
                 std::process::exit(0);
@@ -67,7 +47,26 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
+    // `--full` is the base the other knobs refine, wherever it appears.
+    let mut cfg = if full {
+        EvalConfig::paper()
+    } else {
+        EvalConfig::quick()
+    };
+    if let Some(rows) = rows {
+        cfg.rows_us = rows;
+        cfg.rows_brazil = (rows / 2).max(100);
+    }
+    cfg.repeats = repeats.unwrap_or(cfg.repeats);
+    cfg.seed = seed.unwrap_or(cfg.seed);
     Ok(Args { figure, cfg })
+}
+
+fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn main() -> ExitCode {
@@ -126,6 +125,9 @@ fn main() -> ExitCode {
     }
     if run("accounting") {
         tables.extend(figures::accounting_figure());
+    }
+    if run("kernels") {
+        tables.extend(figures::kernels_figure(&cfg));
     }
 
     if tables.is_empty() && !["fig2", "fig3", "all"].contains(&args.figure.as_str()) {

@@ -5,55 +5,111 @@
 //! ```text
 //! fm-probe --rows 370000 --dim 14 --epsilon 0.8 --task linear --country us
 //! ```
+//!
+//! Every value is parsed strictly: an unparsable number, an unknown task
+//! or country, or a dimensionality outside {5, 8, 11, 14} exits with an
+//! error message and a failure status.
 
 use std::process::ExitCode;
 
-use fm_bench::methods::{self, Method};
+use fm_bench::methods::Method;
 use fm_bench::runner::{evaluate, EvalConfig};
 use fm_bench::workload::{build, Country, Task};
+use fm_data::census;
 
-fn main() -> ExitCode {
-    let mut rows = 40_000usize;
-    let mut dim = 14usize;
-    let mut epsilon = 0.8f64;
-    let mut task = Task::Linear;
-    let mut country = Country::Us;
-    let mut repeats = 1usize;
+/// Cross-validation folds per repeat, as in the paper.
+const FOLDS: usize = fm_bench::params::CV_FOLDS;
 
+struct Args {
+    rows: usize,
+    dim: usize,
+    epsilon: f64,
+    task: Task,
+    country: Country,
+    repeats: usize,
+}
+
+fn parse_args() -> Result<Args, String> {
+    let mut args = Args {
+        rows: 40_000,
+        dim: 14,
+        epsilon: 0.8,
+        task: Task::Linear,
+        country: Country::Us,
+        repeats: 1,
+    };
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
-        let mut next = || argv.next().unwrap_or_default();
+        let value = argv.next().ok_or(format!("{arg} needs a value"));
         match arg.as_str() {
-            "--rows" => rows = next().parse().unwrap_or(rows),
-            "--dim" => dim = next().parse().unwrap_or(dim),
-            "--epsilon" => epsilon = next().parse().unwrap_or(epsilon),
-            "--repeats" => repeats = next().parse().unwrap_or(repeats),
+            "--rows" => args.rows = parse_number(&arg, &value?)?,
+            "--dim" => args.dim = parse_number(&arg, &value?)?,
+            "--epsilon" => args.epsilon = parse_number(&arg, &value?)?,
+            "--repeats" => args.repeats = parse_number(&arg, &value?)?,
             "--task" => {
-                task = if next().starts_with("log") {
-                    Task::Logistic
-                } else {
-                    Task::Linear
+                args.task = match value?.as_str() {
+                    "linear" => Task::Linear,
+                    "logistic" => Task::Logistic,
+                    other => return Err(format!("--task: `{other}` is not linear|logistic")),
                 }
             }
             "--country" => {
-                country = if next().starts_with("br") {
-                    Country::Brazil
-                } else {
-                    Country::Us
+                args.country = match value?.as_str() {
+                    "us" => Country::Us,
+                    "brazil" => Country::Brazil,
+                    other => return Err(format!("--country: `{other}` is not us|brazil")),
                 }
             }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
+    census::attribute_subset(args.dim).map_err(|e| format!("--dim: {e}"))?;
+    if args.rows < FOLDS {
+        return Err(format!(
+            "--rows: {} is fewer than the {FOLDS} CV folds",
+            args.rows
+        ));
+    }
+    if args.repeats == 0 {
+        return Err("--repeats: at least one repeat is needed".to_string());
+    }
+    if !(args.epsilon.is_finite() && args.epsilon > 0.0) {
+        return Err(format!(
+            "--epsilon: {} is not a positive number",
+            args.epsilon
+        ));
+    }
+    Ok(args)
+}
+
+fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+fn main() -> ExitCode {
+    let Args {
+        rows,
+        dim,
+        epsilon,
+        task,
+        country,
+        repeats,
+    } = match parse_args() {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let cfg = EvalConfig {
         rows_us: rows,
         rows_brazil: rows,
         repeats,
-        folds: 5,
+        folds: FOLDS,
         seed: 42,
     };
     println!(
@@ -78,7 +134,3 @@ fn main() -> ExitCode {
     }
     ExitCode::SUCCESS
 }
-
-// Methods module is exercised through the library; keep the probe minimal.
-#[allow(unused_imports)]
-use methods as _methods_keepalive;

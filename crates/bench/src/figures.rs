@@ -331,8 +331,8 @@ pub fn timing_figure(figure: &str, axis: Axis, cfg: &EvalConfig) -> Vec<Table> {
     tables
 }
 
-/// Repo-specific ablations of the design choices DESIGN.md calls out:
-/// post-processing strategy, regularization multiplier, sensitivity bound.
+/// Repo-specific ablations of three design choices: post-processing
+/// strategy, regularization multiplier, sensitivity bound.
 #[must_use]
 pub fn ablation(cfg: &EvalConfig) -> Vec<Table> {
     let mut tables = Vec::new();
@@ -801,6 +801,62 @@ pub fn accounting_figure() -> Vec<Table> {
     tables
 }
 
+/// Kernel throughput: rows/s of the per-tuple reference loop
+/// (`assemble_per_tuple`) next to the batched Gram-kernel pipeline
+/// (`LinearObjective.assemble`), at d ∈ {4, 13, 32} on `cfg.rows_us`
+/// synthetic linear rows, best of three timings each. The batched path
+/// runs on every core under `--features parallel` and on one otherwise.
+///
+/// # Panics
+/// If a cell's two assemblies disagree in any coefficient beyond the
+/// 1e-12 relative tolerance the batched-assembly suite pins.
+#[must_use]
+pub fn kernels_figure(cfg: &EvalConfig) -> Vec<Table> {
+    use fm_core::assembly::assemble_per_tuple;
+    use fm_data::synth;
+    use std::time::Instant;
+
+    const ROUNDS: usize = 3;
+    const TOL: f64 = 1e-12;
+    let coefficients = |q: &fm_poly::QuadraticForm| {
+        let mut c = vec![q.beta()];
+        c.extend_from_slice(q.alpha());
+        c.extend_from_slice(q.m().as_slice());
+        c
+    };
+    let rows = cfg.rows_us;
+    let mut table = Table::new(
+        &format!("Kernels: linear-objective assembly at n = {rows} (rows/s, best of {ROUNDS})"),
+        "d",
+        &["per-tuple", "batched"],
+    );
+    for d in [4usize, 13, 32] {
+        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(d as u64));
+        let data = synth::linear_dataset(&mut rng, rows, d, 0.05);
+        let (mut per_tuple, mut batched) = (0.0f64, 0.0f64);
+        for _ in 0..ROUNDS {
+            let start = Instant::now();
+            let reference = assemble_per_tuple(&LinearObjective, &data);
+            per_tuple = per_tuple.max(rows as f64 / start.elapsed().as_secs_f64());
+            let start = Instant::now();
+            let fast = LinearObjective.assemble(&data);
+            batched = batched.max(rows as f64 / start.elapsed().as_secs_f64());
+
+            let agree = coefficients(&fast)
+                .iter()
+                .zip(&coefficients(&reference))
+                .all(|(a, b)| (a - b).abs() <= TOL * (1.0 + b.abs()));
+            assert!(
+                agree,
+                "d = {d}: batched and per-tuple assembly differ beyond {TOL:e}"
+            );
+        }
+        table.push_row(&d.to_string(), vec![per_tuple, batched]);
+    }
+    println!("{}", table.render());
+    vec![table]
+}
+
 fn format_axis_value(axis: Axis, x: f64) -> String {
     match axis {
         Axis::Dimensionality => format!("{}", x as usize),
@@ -834,5 +890,23 @@ mod tests {
         // rendering is stable, so a sanity substring check suffices here;
         // the numeric bound is asserted in fm-core's tests.
         assert!(s.contains("0.015"));
+    }
+
+    #[test]
+    fn kernels_reports_both_rates_per_dimensionality() {
+        let cfg = EvalConfig {
+            rows_us: 300,
+            ..EvalConfig::quick()
+        };
+        let tables = kernels_figure(&cfg);
+        assert_eq!(tables.len(), 1);
+        let dims: Vec<&str> = tables[0].rows.iter().map(|(d, _)| d.as_str()).collect();
+        assert_eq!(dims, ["4", "13", "32"]);
+        for (d, rates) in &tables[0].rows {
+            assert_eq!(rates.len(), 2);
+            for r in rates {
+                assert!(r.is_finite() && *r > 0.0, "d = {d}: rate {r}");
+            }
+        }
     }
 }

@@ -23,9 +23,12 @@
 //! | `ablation-approx` | §8 extension — Taylor vs Chebyshev surrogate | per-surrogate misclassification vs ε |
 //! | `ablation-noise` | §2 extension — ε-DP Laplace vs (ε, δ) Gaussian | per-noise MSE vs dimensionality |
 //! | `poisson` | §8 extension — DP Poisson regression | MAE vs ε; count-cap trade-off |
+//! | `accounting` | composition under T releases — naive vs advanced vs moments accountant | composed ε per accountant |
+//! | `kernels` | §4 Algorithm 1's assembly pass — per-tuple loop vs batched Gram kernels at d ∈ {4, 13, 32} | rows/s per path |
 //!
-//! Criterion microbenchmarks (`cargo bench -p fm-bench`) cover the same
-//! timing claims at statistical rigor on fixed workloads.
+//! End-to-end throughput of fits, streamed CSV ingest, the fitting
+//! service and federated rounds is measured by the separate `perfbench`
+//! package, not by this crate.
 //!
 //! Defaults are scaled down (40k/20k rows, 2 CV repeats) so a full figure
 //! regenerates in minutes on a laptop; `--rows`/`--repeats`/`--full`

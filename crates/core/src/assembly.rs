@@ -904,7 +904,8 @@ pub(crate) fn check_shard_dims<S: RowSource>(shards: &[S]) -> Result<()> {
 
 /// The pre-batching reference path: one [`PolynomialObjective::accumulate_tuple`]
 /// call per row into a single accumulator. Kept for equivalence tests and
-/// as the benchmark baseline; real callers go through [`assemble`].
+/// as the baseline of `fm-experiments --figure kernels`; real callers go
+/// through [`assemble`].
 #[must_use]
 pub fn assemble_per_tuple<O>(objective: &O, data: &Dataset) -> QuadraticForm
 where

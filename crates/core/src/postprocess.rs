@@ -34,7 +34,7 @@ const EIGEN_POSITIVE_TOL: f64 = 1e-12;
 /// Above this dimensionality the trimming step switches from cyclic Jacobi
 /// to the Householder + implicit-QL eigensolver — Jacobi is simpler and
 /// plenty fast in the paper's `d ≤ 14` regime, but its per-sweep `O(d³)`
-/// loses decisively by `d ≈ 32` (see the `eigen_scaling` bench).
+/// loses decisively by `d ≈ 32`.
 const TRIDIAGONAL_DISPATCH_DIM: usize = 32;
 
 /// The symmetric eigendecomposition backing §6.2, dispatched by dimension.

@@ -21,8 +21,10 @@
 //!   consistently measures higher MSE on Brazil).
 //!
 //! Everything is driven by a caller-supplied seeded RNG, so experiments are
-//! reproducible. See DESIGN.md §4 for why this substitution preserves the
-//! paper's comparisons.
+//! reproducible. The paper's comparisons rank methods by error relative to
+//! the non-private fit on the same data, so they depend on the schema,
+//! the normalization and the presence of learnable signal listed above,
+//! not on the exact IPUMS records.
 
 use rand::Rng;
 

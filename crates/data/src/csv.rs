@@ -1,9 +1,9 @@
 //! Minimal CSV persistence for datasets and experiment results.
 //!
 //! Numeric-only, comma-separated, one header row. Implemented by hand
-//! (≈100 lines) rather than pulling a CSV dependency — the workspace's
-//! dependency policy (DESIGN.md §2) keeps external crates to `rand`,
-//! `proptest` and `criterion`.
+//! rather than pulling a CSV dependency: the workspace builds offline, and
+//! its only external crates are the vendored `rand`, `rayon` and
+//! `proptest`.
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};

@@ -20,7 +20,8 @@
 //!   IPUMS US (370k rows) and Brazil (190k rows) datasets, with the same 13
 //!   attributes (Marital Status one-hot expanded to 14), realistic marginal
 //!   distributions, and a ground-truth income process so regression has
-//!   signal to find. See DESIGN.md §4 for the substitution argument.
+//!   signal to find. The [`census`] module docs give the substitution
+//!   argument.
 //! * [`synth`] — minimal synthetic regression/classification generators
 //!   with known ground-truth parameters, for tests and convergence checks.
 //! * [`sampling`] / [`cv`] — seeded subsampling (Table 2's sampling-rate

@@ -18,8 +18,7 @@ const MAX_QL_ITERS: usize = 50;
 /// eigenvectors are orthonormal to machine precision by construction. This
 /// solver exists for the production regime beyond the paper — DP-ERM
 /// workloads with hundreds of features, where the §6.2 spectral-trimming
-/// step would otherwise dominate the fit. The `eigen_scaling` Criterion
-/// bench quantifies the crossover.
+/// step would otherwise dominate the fit.
 ///
 /// The API mirrors [`crate::SymmetricEigen`]: eigenvalues **descending**,
 /// eigenvectors as matrix columns aligned with the values.

@@ -3,7 +3,7 @@
 //! This module is a *sampler*, not a privacy mechanism. It backs two
 //! consumers: the (ε, δ) [`crate::mechanism::GaussianMechanism`], and the
 //! synthetic census generator in `fm-data` (the substitute for the paper's
-//! IPUMS datasets, see DESIGN.md §4), which needs correlated normal
+//! IPUMS datasets, see `fm_data::census`), which needs correlated normal
 //! covariates. Strict ε-DP paths use [`crate::laplace`] only.
 
 use rand::Rng;

@@ -2,7 +2,7 @@
 //! from census attributes under ε-differential privacy.
 //!
 //! Pipeline:
-//! 1. Generate the synthetic US census (the IPUMS stand-in, DESIGN.md §4).
+//! 1. Generate the synthetic US census (the IPUMS stand-in, see `fm_data::census`).
 //! 2. Normalize per the paper's footnote 1 (`‖x‖₂ ≤ 1`, `y ∈ [−1, 1]`).
 //! 3. 5-fold cross-validate FM against NoPrivacy, DPME and FP — every
 //!    method behind the same `dyn DpEstimator` surface, every fold drawn
