@@ -20,7 +20,7 @@
 //! bit-identical to one over the bare source.
 
 use crate::error::DataError;
-use crate::stream::{BlockVisitor, RowBlock, RowSource};
+use crate::stream::{RowBlock, RowSource};
 use crate::Result;
 
 /// Which failure a [`FaultInjectingSource`] injects at its trigger block.
@@ -39,6 +39,10 @@ pub enum Fault {
 /// A [`RowSource`] wrapper that injects one deterministic [`Fault`] when
 /// the inner source yields its `at_block`-th block (0-based, counted in
 /// the *inner* source's block sizing). See the [module docs](self).
+///
+/// Only `next_block` is overridden: the visitor path is the trait's
+/// default, which pulls every block through it, so the injection point
+/// sees every block on both paths.
 #[derive(Debug)]
 pub struct FaultInjectingSource<S> {
     inner: S,
@@ -118,16 +122,6 @@ impl<S: RowSource> RowSource for FaultInjectingSource<S> {
         }
         let block = self.inner.next_block(max_rows)?;
         self.apply(block)
-    }
-
-    fn for_each_block(&mut self, max_rows: usize, f: &mut BlockVisitor<'_>) -> Result<()> {
-        // Routed through `next_block` (the default implementation's shape)
-        // rather than the inner source's zero-copy visitor: the injection
-        // point must see every block to count and replace them.
-        while let Some(block) = self.next_block(max_rows)? {
-            f(block.as_ref())?;
-        }
-        Ok(())
     }
 }
 

@@ -23,13 +23,15 @@
 //! * [`RowSource::next_block`] yields **owned** [`RowBlock`]s — the
 //!   simple, dyn-compatible pull API every source must implement;
 //! * [`RowSource::for_each_block`] drains the source through a visitor
-//!   that receives **borrowed** [`RowBlockRef`]s. The default wraps
-//!   `next_block`, but sources with a stable backing store override it to
-//!   hand out views with no per-block allocation or copy:
-//!   [`InMemorySource`] lends slices of the backing [`Dataset`] directly,
-//!   [`CsvStreamSource`] and [`InterceptAugmentSource`] parse/augment
-//!   into buffers reused across blocks, and [`ShardedSource`] forwards
-//!   each shard's own fast path.
+//!   that receives **borrowed** [`RowBlockRef`]s, one
+//!   [`RowSource::lend_block`] step at a time by default. Both default to
+//!   wrapping `next_block`, but sources with a stable backing store
+//!   override them to hand out views with no per-block allocation or
+//!   copy: [`InMemorySource`] lends slices of the backing [`Dataset`]
+//!   directly, [`CsvStreamSource`] and [`InterceptAugmentSource`]
+//!   parse/augment into buffers reused across blocks, and
+//!   [`ShardedSource`] and [`ProvenancedSource`] forward both paths of
+//!   what they wrap, [`TakeRows`] its `lend_block`.
 //!
 //! `fm-core`'s accumulators drain sources through the visitor, which is
 //! what lets in-memory data fitted *through the streaming entry points*
@@ -213,9 +215,12 @@ pub type BlockVisitor<'v> = dyn FnMut(RowBlockRef<'_>) -> Result<()> + 'v;
 ///   the rows `next_block` would have yielded, in the same order, under
 ///   the same `max_rows` cap — it is an alternative *transport*, never an
 ///   alternative semantics.
+/// * [`RowSource::lend_block`], when overridden, must lend exactly the
+///   next block `next_block` would have yielded.
 /// * [`RowSource::zero_copy`] may return `true` only when
-///   `for_each_block` lends views into storage that outlives the drain,
-///   so that asking for more rows per block allocates and copies nothing.
+///   `for_each_block` and `lend_block` both lend views into storage that
+///   outlives the drain, so that asking for more rows per block
+///   allocates and copies nothing.
 ///
 /// The trait is dyn-compatible: `&mut dyn RowSource` is what the
 /// estimator-level `fit_stream` entry points accept.
@@ -257,24 +262,43 @@ pub trait RowSource {
         None
     }
 
+    /// Lends the next block of at most `max_rows.max(1)` rows to `f` as a
+    /// **borrowed** [`RowBlockRef`] and returns `Ok(true)`, or returns
+    /// `Ok(false)` once exhausted: one step of
+    /// [`RowSource::for_each_block`], for a consumer that must stop
+    /// between blocks ([`TakeRows`] stops at its row cap this way).
+    ///
+    /// The default pulls one owned block from [`RowSource::next_block`]
+    /// and lends it; sources backed by stable storage override it to
+    /// lend a view with no copy. It must lend exactly the block
+    /// `next_block` would have yielded.
+    ///
+    /// # Errors
+    /// Transport errors from the source, or the error `f` returns.
+    fn lend_block(&mut self, max_rows: usize, f: &mut BlockVisitor<'_>) -> Result<bool> {
+        match self.next_block(max_rows)? {
+            Some(block) => f(block.as_ref()).map(|()| true),
+            None => Ok(false),
+        }
+    }
+
     /// Drains the remaining rows through `f` as **borrowed**
     /// [`RowBlockRef`]s of at most `max_rows.max(1)` rows each — the
     /// zero-copy fast path of the streaming pipeline.
     ///
-    /// The default pulls owned blocks from [`RowSource::next_block`] and
-    /// lends each one to `f`, so every implementor gets the visitor for
-    /// free; sources backed by stable storage override it to skip the
-    /// owned-block allocation entirely (see the module docs). After an
-    /// `Ok(())` return the source is exhausted; if `f` returns an error
-    /// the drain stops immediately and the error propagates (how many
-    /// rows were consumed at that point is source-specific).
+    /// The default lends block after block through
+    /// [`RowSource::lend_block`], so every implementor gets the visitor
+    /// for free and a source that lends views without a copy drains
+    /// without one; sources that reuse buffers across blocks override it
+    /// (see the module docs). After an `Ok(())` return the source is
+    /// exhausted; if `f` returns an error the drain stops immediately and
+    /// the error propagates (how many rows were consumed at that point is
+    /// source-specific).
     ///
     /// # Errors
     /// Transport errors from the source, or the first error `f` returns.
     fn for_each_block(&mut self, max_rows: usize, f: &mut BlockVisitor<'_>) -> Result<()> {
-        while let Some(block) = self.next_block(max_rows)? {
-            f(block.as_ref())?;
-        }
+        while self.lend_block(max_rows, f)? {}
         Ok(())
     }
 
@@ -285,10 +309,11 @@ pub trait RowSource {
     /// while every other source keeps `max_rows` as its memory cap.
     ///
     /// The default is `false`. [`InMemorySource`] is zero-copy, and so
-    /// is a [`ShardedSource`] whose shards all are; sources that parse,
+    /// are a [`ShardedSource`] whose shards all are and a [`TakeRows`] or
+    /// [`ProvenancedSource`] over a zero-copy source; sources that parse,
     /// copy or transform rows ([`CsvStreamSource`],
-    /// [`InterceptAugmentSource`], [`TakeRows`], the prefetch and queue
-    /// sources) are not.
+    /// [`InterceptAugmentSource`], the prefetch and queue sources) are
+    /// not.
     fn zero_copy(&self) -> bool {
         false
     }
@@ -306,6 +331,9 @@ impl<S: RowSource + ?Sized> RowSource for &mut S {
     }
     fn next_block(&mut self, max_rows: usize) -> Result<Option<RowBlock>> {
         (**self).next_block(max_rows)
+    }
+    fn lend_block(&mut self, max_rows: usize, f: &mut BlockVisitor<'_>) -> Result<bool> {
+        (**self).lend_block(max_rows, f)
     }
     fn for_each_block(&mut self, max_rows: usize, f: &mut BlockVisitor<'_>) -> Result<()> {
         (**self).for_each_block(max_rows, f)
@@ -327,6 +355,9 @@ impl<S: RowSource + ?Sized> RowSource for Box<S> {
     }
     fn next_block(&mut self, max_rows: usize) -> Result<Option<RowBlock>> {
         (**self).next_block(max_rows)
+    }
+    fn lend_block(&mut self, max_rows: usize, f: &mut BlockVisitor<'_>) -> Result<bool> {
+        (**self).lend_block(max_rows, f)
     }
     fn for_each_block(&mut self, max_rows: usize, f: &mut BlockVisitor<'_>) -> Result<()> {
         (**self).for_each_block(max_rows, f)
@@ -386,25 +417,22 @@ impl RowSource for InMemorySource<'_> {
         Ok(Some(RowBlock { xs, ys, d }))
     }
 
-    fn for_each_block(&mut self, max_rows: usize, f: &mut BlockVisitor<'_>) -> Result<()> {
+    fn lend_block(&mut self, max_rows: usize, f: &mut BlockVisitor<'_>) -> Result<bool> {
         let n = self.data.n();
-        let d = self.data.d();
-        let step = max_rows.max(1);
-        let xs = self.data.x().as_slice();
-        let ys = self.data.y();
-        while self.pos < n {
-            let hi = (self.pos + step).min(n);
-            let lo = self.pos;
-            // Advance before the visit so an error from `f` leaves the
-            // cursor past the rows it already saw.
-            self.pos = hi;
-            f(RowBlockRef {
-                xs: &xs[lo * d..hi * d],
-                ys: &ys[lo..hi],
-                d,
-            })?;
+        if self.pos >= n {
+            return Ok(false);
         }
-        Ok(())
+        let d = self.data.d();
+        let (lo, hi) = (self.pos, (self.pos + max_rows.max(1)).min(n));
+        // Advance before the visit so an error from `f` leaves the cursor
+        // past the rows it already saw.
+        self.pos = hi;
+        f(RowBlockRef {
+            xs: &self.data.x().as_slice()[lo * d..hi * d],
+            ys: &self.data.y()[lo..hi],
+            d,
+        })
+        .map(|()| true)
     }
 
     fn take_dataset(&mut self) -> Option<&Dataset> {
@@ -1306,13 +1334,47 @@ impl<S: RowSource> ShardedSource<S> {
         self.shards.len()
     }
 
-    /// Wraps an error raised by the current shard with its context.
-    fn in_current_shard(&self, e: DataError) -> DataError {
-        DataError::InShard {
-            shard: self.labels[self.current].clone(),
-            block: self.blocks_in_current,
-            source: Box::new(e),
+    /// Moves on to the next shard.
+    fn advance(&mut self) {
+        self.current += 1;
+        self.blocks_in_current = 0;
+    }
+}
+
+/// `e`, attributed to block `block` of the origin labelled `label`.
+fn in_shard(label: &str, block: usize, e: DataError) -> DataError {
+    DataError::InShard {
+        shard: label.to_string(),
+        block,
+        source: Box::new(e),
+    }
+}
+
+/// Runs a visitor drain `drive` with `f` wrapped so that every error is
+/// attributed to the origin `label` and the 0-based index of the block it
+/// stopped at: a visitor error inside the wrapper, where the failing
+/// block's index is known, and a transport error of the source after
+/// the fact. `blocks` counts the blocks `f` accepted.
+fn attributed<R>(
+    label: &str,
+    blocks: &mut usize,
+    f: &mut BlockVisitor<'_>,
+    drive: impl FnOnce(&mut BlockVisitor<'_>) -> Result<R>,
+) -> Result<R> {
+    let mut wrapped_by_visitor = false;
+    let result = drive(&mut |block| match f(block) {
+        Ok(()) => {
+            *blocks += 1;
+            Ok(())
         }
+        Err(e) => {
+            wrapped_by_visitor = true;
+            Err(in_shard(label, *blocks, e))
+        }
+    });
+    match result {
+        Err(e) if !wrapped_by_visitor => Err(in_shard(label, *blocks, e)),
+        other => other,
     }
 }
 
@@ -1339,51 +1401,41 @@ impl<S: RowSource> RowSource for ShardedSource<S> {
                     self.blocks_in_current += 1;
                     return Ok(Some(block));
                 }
-                Ok(None) => {
-                    self.current += 1;
-                    self.blocks_in_current = 0;
+                Ok(None) => self.advance(),
+                Err(e) => {
+                    return Err(in_shard(
+                        &self.labels[self.current],
+                        self.blocks_in_current,
+                        e,
+                    ))
                 }
-                Err(e) => return Err(self.in_current_shard(e)),
             }
         }
         Ok(None)
     }
 
+    fn lend_block(&mut self, max_rows: usize, f: &mut BlockVisitor<'_>) -> Result<bool> {
+        while self.current < self.shards.len() {
+            let shard = &mut self.shards[self.current];
+            let label = &self.labels[self.current];
+            if attributed(label, &mut self.blocks_in_current, f, |g| {
+                shard.lend_block(max_rows, g)
+            })? {
+                return Ok(true);
+            }
+            self.advance();
+        }
+        Ok(false)
+    }
+
     fn for_each_block(&mut self, max_rows: usize, f: &mut BlockVisitor<'_>) -> Result<()> {
         while self.current < self.shards.len() {
-            let ShardedSource {
-                shards,
-                labels,
-                current,
-                blocks_in_current,
-            } = self;
-            let label = labels[*current].as_str();
-            // Distinguishes visitor errors (wrapped in the closure, where
-            // the failing block's index is known) from the shard's own
-            // transport errors (wrapped after the fact).
-            let mut wrapped_by_visitor = false;
-            let result = shards[*current].for_each_block(max_rows, &mut |block| match f(block) {
-                Ok(()) => {
-                    *blocks_in_current += 1;
-                    Ok(())
-                }
-                Err(e) => {
-                    wrapped_by_visitor = true;
-                    Err(DataError::InShard {
-                        shard: label.to_string(),
-                        block: *blocks_in_current,
-                        source: Box::new(e),
-                    })
-                }
-            });
-            match result {
-                Ok(()) => {
-                    self.current += 1;
-                    self.blocks_in_current = 0;
-                }
-                Err(e) if wrapped_by_visitor => return Err(e),
-                Err(e) => return Err(self.in_current_shard(e)),
-            }
+            let shard = &mut self.shards[self.current];
+            let label = &self.labels[self.current];
+            attributed(label, &mut self.blocks_in_current, f, |g| {
+                shard.for_each_block(max_rows, g)
+            })?;
+            self.advance();
         }
         Ok(())
     }
@@ -1481,10 +1533,20 @@ impl<S: RowSource> RowSource for InterceptAugmentSource<S> {
 /// ingest stream into a partial fit without the stream knowing about the
 /// shard plan.
 ///
-/// Block boundaries are re-capped, never split retroactively: each pull
-/// requests `min(max_rows, remaining)` rows, so the inner source is never
-/// asked for a row beyond the budget and the concatenation of segments
-/// replays the stream byte-for-byte.
+/// Block boundaries are re-capped, never split retroactively: each pull —
+/// owned through [`RowSource::next_block`] or borrowed through
+/// [`RowSource::lend_block`] — asks the inner source for
+/// `min(max_rows, remaining)` rows, so the inner source is never asked
+/// for a row beyond the cap, its cursor stops exactly there, and the
+/// concatenation of segments replays the stream byte-for-byte.
+///
+/// The adapter is as zero-copy as its inner source: its visitor lends
+/// the inner source's own borrowed blocks one at a time, so a segment of
+/// an in-memory stream reaches the accumulator in windows of many chunks
+/// without a copy, while a copying inner source is pulled block by block
+/// through `next_block` as before. It never hands over the inner source's
+/// dataset ([`RowSource::take_dataset`]): a segment is not the whole
+/// dataset.
 #[derive(Debug)]
 pub struct TakeRows<S> {
     inner: S,
@@ -1523,6 +1585,10 @@ impl<S: RowSource> RowSource for TakeRows<S> {
         self.inner.hint_rows().map(|h| h.min(self.remaining))
     }
 
+    fn zero_copy(&self) -> bool {
+        self.inner.zero_copy()
+    }
+
     fn next_block(&mut self, max_rows: usize) -> Result<Option<RowBlock>> {
         if self.remaining == 0 {
             return Ok(None);
@@ -1538,6 +1604,22 @@ impl<S: RowSource> RowSource for TakeRows<S> {
                 Ok(None)
             }
         }
+    }
+
+    fn lend_block(&mut self, max_rows: usize, f: &mut BlockVisitor<'_>) -> Result<bool> {
+        if self.remaining == 0 {
+            return Ok(false);
+        }
+        let cap = max_rows.max(1).min(self.remaining);
+        let TakeRows { inner, remaining } = self;
+        let lent = inner.lend_block(cap, &mut |block| {
+            *remaining -= block.rows().min(*remaining);
+            f(block)
+        })?;
+        if !lent {
+            self.remaining = 0;
+        }
+        Ok(lent)
     }
 }
 
@@ -1577,14 +1659,6 @@ impl<S: RowSource> ProvenancedSource<S> {
     pub fn into_inner(self) -> S {
         self.inner
     }
-
-    fn attribute(&self, e: DataError) -> DataError {
-        DataError::InShard {
-            shard: self.label.clone(),
-            block: self.blocks,
-            source: Box::new(e),
-        }
-    }
 }
 
 impl<S: RowSource> RowSource for ProvenancedSource<S> {
@@ -1607,7 +1681,7 @@ impl<S: RowSource> RowSource for ProvenancedSource<S> {
                 Ok(Some(block))
             }
             Ok(None) => Ok(None),
-            Err(e) => Err(self.attribute(e)),
+            Err(e) => Err(in_shard(&self.label, self.blocks, e)),
         }
     }
 
@@ -1617,35 +1691,18 @@ impl<S: RowSource> RowSource for ProvenancedSource<S> {
         self.inner.take_dataset()
     }
 
+    fn lend_block(&mut self, max_rows: usize, f: &mut BlockVisitor<'_>) -> Result<bool> {
+        let inner = &mut self.inner;
+        attributed(&self.label, &mut self.blocks, f, |g| {
+            inner.lend_block(max_rows, g)
+        })
+    }
+
     fn for_each_block(&mut self, max_rows: usize, f: &mut BlockVisitor<'_>) -> Result<()> {
-        let ProvenancedSource {
-            inner,
-            label,
-            blocks,
-        } = self;
-        // Visitor errors are wrapped inside the closure (where the failing
-        // block's index is known); the source's own transport errors after
-        // the fact — the `ShardedSource` idiom.
-        let mut wrapped_by_visitor = false;
-        let result = inner.for_each_block(max_rows, &mut |block| match f(block) {
-            Ok(()) => {
-                *blocks += 1;
-                Ok(())
-            }
-            Err(e) => {
-                wrapped_by_visitor = true;
-                Err(DataError::InShard {
-                    shard: label.clone(),
-                    block: *blocks,
-                    source: Box::new(e),
-                })
-            }
-        });
-        match result {
-            Ok(()) => Ok(()),
-            Err(e) if wrapped_by_visitor => Err(e),
-            Err(e) => Err(self.attribute(e)),
-        }
+        let inner = &mut self.inner;
+        attributed(&self.label, &mut self.blocks, f, |g| {
+            inner.for_each_block(max_rows, g)
+        })
     }
 }
 
@@ -2692,6 +2749,188 @@ mod tests {
         let (xs, _ys) = drain_visitor(&mut over, 3);
         assert_eq!(xs, data.x().as_slice());
         assert!(over.next_block(4).unwrap().is_none());
+    }
+
+    /// `n` distinct rows at d = 2, every value exact in shortest decimal.
+    fn numbered(n: usize) -> Dataset {
+        let xs: Vec<f64> = (0..n)
+            .flat_map(|i| [i as f64 / 64.0 / n as f64, -(i as f64) / 128.0 / n as f64])
+            .collect();
+        let ys = (0..n).map(|i| i as f64 / 8.0).collect();
+        Dataset::new(Matrix::from_vec(n, 2, xs).unwrap(), ys).unwrap()
+    }
+
+    /// `data` as a CSV stream: the same rows through a copying source.
+    fn csv_of(data: &Dataset) -> CsvStreamSource<std::io::Cursor<String>> {
+        let mut text = "a,b,label\n".to_string();
+        for (row, y) in data.x().as_slice().chunks_exact(2).zip(data.y()) {
+            text.push_str(&format!("{},{},{y}\n", row[0], row[1]));
+        }
+        CsvStreamSource::from_reader(std::io::Cursor::new(text)).unwrap()
+    }
+
+    /// `data` cut into consecutive datasets of the given sizes.
+    fn cut(data: &Dataset, sizes: &[usize]) -> Vec<Dataset> {
+        let mut lo = 0;
+        sizes
+            .iter()
+            .map(|&k| {
+                let idx: Vec<usize> = (lo..lo + k).collect();
+                lo += k;
+                data.subset(&idx).unwrap()
+            })
+            .collect()
+    }
+
+    /// Every block `source` yields, pulled owned or lent through the
+    /// visitor.
+    fn blocks_of(source: &mut impl RowSource, max_rows: usize, visit: bool) -> Vec<RowBlock> {
+        let mut blocks = Vec::new();
+        if visit {
+            source
+                .for_each_block(max_rows, &mut |b| {
+                    blocks.push(b.to_owned());
+                    Ok(())
+                })
+                .unwrap();
+        } else {
+            while let Some(b) = source.next_block(max_rows).unwrap() {
+                blocks.push(b);
+            }
+        }
+        blocks
+    }
+
+    #[test]
+    fn take_rows_is_zero_copy_exactly_when_its_inner_source_is() {
+        let data = numbered(12);
+        let parts = cut(&data, &[5, 7]);
+        let mut mem = InMemorySource::new(&data);
+        assert!(TakeRows::new(&mut mem, 4).zero_copy());
+        let sharded = ShardedSource::new(parts.iter().map(InMemorySource::new).collect()).unwrap();
+        assert!(TakeRows::new(sharded, 4).zero_copy());
+        assert!(!TakeRows::new(csv_of(&data), 4).zero_copy());
+        assert!(!TakeRows::new(InterceptAugmentSource::new(mem), 4).zero_copy());
+        // A segment is never the whole dataset, so it never hands one
+        // over, even at the stream's first row.
+        let mut fresh = InMemorySource::new(&data);
+        let mut seg = TakeRows::new(&mut fresh, 12);
+        assert!(seg.take_dataset().is_none());
+        assert_eq!(blocks_of(&mut seg, 100, true).len(), 1);
+    }
+
+    #[test]
+    fn take_rows_visitor_yields_exactly_the_owned_blocks_at_every_cap() {
+        let data = numbered(37);
+        let parts = cut(&data, &[9, 20, 8]);
+        // A cap of one row, of one 4-row chunk, and of more than the
+        // segment holds; segments that start mid-shard and span shards.
+        for max_rows in [1usize, 4, 100] {
+            for (skip, len) in [(0usize, 37usize), (3, 10), (7, 25), (30, 7), (36, 5)] {
+                let mut per_path = Vec::new();
+                for visit in [false, true] {
+                    let mem = InMemorySource::new(&data);
+                    let sharded =
+                        ShardedSource::new(parts.iter().map(InMemorySource::new).collect())
+                            .unwrap();
+                    let sources: Vec<Box<dyn RowSource + '_>> =
+                        vec![Box::new(mem), Box::new(sharded), Box::new(csv_of(&data))];
+                    for mut src in sources {
+                        drain_visitor(&mut TakeRows::new(&mut src, skip), 100);
+                        let mut seg = TakeRows::new(&mut src, len);
+                        let blocks = blocks_of(&mut seg, max_rows, visit);
+                        assert!(blocks.iter().all(|b| b.rows() <= max_rows));
+                        assert_eq!(seg.remaining(), 0);
+                        // The inner cursor stops exactly at the cap.
+                        let next = src.next_block(1).unwrap();
+                        let at = (skip + len).min(37);
+                        assert_eq!(next.map(|b| b.ys()[0]), data.y().get(at).copied());
+                        let ys: Vec<f64> = blocks.iter().flat_map(|b| b.ys().to_vec()).collect();
+                        assert_eq!(ys, data.y()[skip..at]);
+                        per_path.push(blocks);
+                    }
+                }
+                let (owned, lent) = per_path.split_at(3);
+                assert_eq!(owned, lent, "max_rows {max_rows}, segment {skip}+{len}");
+            }
+        }
+    }
+
+    #[test]
+    fn take_rows_segments_replay_the_stream_byte_for_byte() {
+        let data = numbered(41);
+        let parts = cut(&data, &[6, 1, 30, 4]);
+        let segments = [3usize, 8, 1, 13, 12, 4];
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for max_rows in [1usize, 5, 64] {
+            let mem = InMemorySource::new(&data);
+            let sharded =
+                ShardedSource::new(parts.iter().map(InMemorySource::new).collect()).unwrap();
+            let sources: Vec<Box<dyn RowSource + '_>> =
+                vec![Box::new(mem), Box::new(sharded), Box::new(csv_of(&data))];
+            for mut src in sources {
+                let (mut xs, mut ys) = (Vec::new(), Vec::new());
+                for &len in &segments {
+                    let (sx, sy) = drain_visitor(&mut TakeRows::new(&mut src, len), max_rows);
+                    assert_eq!(sy.len(), len);
+                    xs.extend(bits(&sx));
+                    ys.extend(bits(&sy));
+                }
+                assert_eq!(xs, bits(data.x().as_slice()), "max_rows {max_rows}");
+                assert_eq!(ys, bits(data.y()), "max_rows {max_rows}");
+                assert!(src.next_block(1).unwrap().is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn take_rows_keeps_the_in_shard_attribution_of_a_sharded_source() {
+        let data = numbered(30);
+        let parts = cut(&data, &[7, 11, 12]);
+        // Row 21 (the 4th of shard 2, so in its second 3-row block) fails
+        // the consumer's row check.
+        let bad_label = data.y()[21];
+        let drain = |src: &mut dyn RowSource| {
+            src.for_each_block(3, &mut |b| {
+                if b.ys().contains(&bad_label) {
+                    Err(DataError::NotNormalized {
+                        detail: "‖x‖₂ > 1".to_string(),
+                    })
+                } else {
+                    Ok(())
+                }
+            })
+            .unwrap_err()
+        };
+        let make = || ShardedSource::new(parts.iter().map(InMemorySource::new).collect()).unwrap();
+        let bare = drain(&mut make());
+        let capped = drain(&mut TakeRows::new(make(), 30));
+        for err in [&bare, &capped] {
+            assert!(
+                matches!(err, DataError::InShard { shard, block: 1, .. } if shard == "shard-2"),
+                "{err}"
+            );
+        }
+        assert_eq!(bare.to_string(), capped.to_string());
+
+        // A transport error of a copying shard keeps its attribution too.
+        let bad_csv = "a,b,label\n0.1,0.2,1.0\n0.3,0.1,2.0\n0.0,oops,0.0\n";
+        let make = || {
+            let shards = vec![
+                csv_of(&parts[0]),
+                CsvStreamSource::from_reader(std::io::Cursor::new(bad_csv.to_string())).unwrap(),
+            ];
+            ShardedSource::new(shards).unwrap()
+        };
+        let bare = make().for_each_block(2, &mut |_| Ok(())).unwrap_err();
+        let capped = TakeRows::new(make(), 100)
+            .for_each_block(2, &mut |_| Ok(()))
+            .unwrap_err();
+        assert!(
+            matches!(&bare, DataError::InShard { shard, block: 1, .. } if shard == "shard-1"),
+            "{bare}"
+        );
+        assert_eq!(bare.to_string(), capped.to_string());
     }
 
     #[test]

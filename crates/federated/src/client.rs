@@ -108,6 +108,11 @@ impl<'a, O: RegressionObjective> FederatedClient<'a, O> {
         let d = work.dim();
         let objective = self.estimator.objective();
         let mut runs = Vec::new();
+        // Each segment is a row cap on the one stream, stopping its
+        // cursor at the segment's last row. The cap is as zero-copy as
+        // the stream: over in-memory rows it lends the stream's own
+        // slices, so each segment's chunks are mapped across cores in
+        // windows, while a copying stream is read one chunk per block.
         for (c, rank) in dyadic_segments(share.start_chunk, share.chunks) {
             let seg_rows = (1usize << rank) * self.chunk_rows;
             let mut acc = CoefficientAccumulator::with_chunk_rows(objective, d, self.chunk_rows);

@@ -321,9 +321,11 @@ impl<'a, O: RegressionObjective> Coordinator<'a, O> {
     /// [`FederatedError::Quorum`] below quorum;
     /// [`crate::FederatedError::Protocol`] for hostile uploads (a client
     /// equivocating — same label, same round, different payloads outside
-    /// an expected replacement — or a replacement at the wrong position)
-    /// and for protocol violations at release; [`crate::FederatedError::Fm`]
-    /// for budget refusals and release failures.
+    /// an expected replacement — a frame on another chunk grid, a
+    /// replacement at the wrong position, or a survivor geometry that
+    /// overflows the grid) and for protocol violations at release;
+    /// [`crate::FederatedError::Fm`] for budget refusals and release
+    /// failures.
     pub fn run_round_with_quorum(
         &self,
         transports: &mut [impl Transport],
@@ -466,9 +468,9 @@ impl<'a, O: RegressionObjective> Coordinator<'a, O> {
     /// retransmits/stale frames are ignored (up to
     /// [`MAX_IGNORED_FRAMES`]), and `Ok(None)` means the client is
     /// dropped — disconnected or out of patience. Only hostile behavior
-    /// (equivocation, a replacement from the wrong client or at the
-    /// wrong position) is a hard error: it aborts the round before any
-    /// debit.
+    /// (equivocation, a frame on another chunk grid, a replacement from
+    /// the wrong client or at the wrong position) is a hard error: it
+    /// aborts the round before any debit.
     fn recv_upload(
         &self,
         transport: &mut impl Transport,
@@ -526,6 +528,15 @@ impl<'a, O: RegressionObjective> Coordinator<'a, O> {
                     return Ok(None);
                 }
                 continue;
+            }
+            // A frame on another chunk grid can never enter this release,
+            // and its geometry must not reach the re-planner, whose grid
+            // arithmetic assumes the round's chunk size.
+            if upload.chunk_rows != self.chunk_rows {
+                return Err(protocol(format!(
+                    "client {:?} chunked at {} rows, the round's grid is {}",
+                    upload.client, upload.chunk_rows, self.chunk_rows
+                )));
             }
             // Idempotency: an already-accepted identity is a retransmit.
             if dedup

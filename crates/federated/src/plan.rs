@@ -95,9 +95,10 @@ impl ShardPlan {
     ///
     /// # Errors
     /// [`crate::FederatedError::Protocol`] for an empty geometry, a zero
-    /// chunk size, a tail as large as a chunk, or tail rows anywhere but
+    /// chunk size, a tail as large as a chunk, tail rows anywhere but
     /// the final client (the merge tree stages at most one partial
-    /// chunk, at the end of the grid).
+    /// chunk, at the end of the grid), or a geometry whose chunk or row
+    /// count overflows `usize`.
     pub fn from_client_geometry(chunk_rows: usize, geometry: &[(usize, usize)]) -> Result<Self> {
         if geometry.is_empty() {
             return Err(protocol("a recovery plan needs at least one client"));
@@ -120,7 +121,11 @@ impl ShardPlan {
                     "only the final client of a plan may carry a partial chunk",
                 ));
             }
-            let client_rows = chunks * chunk_rows + tail_rows;
+            let overflow = || protocol(format!("client {i}'s geometry overflows the chunk grid"));
+            let client_rows = chunks
+                .checked_mul(chunk_rows)
+                .and_then(|r| r.checked_add(tail_rows))
+                .ok_or_else(overflow)?;
             shares.push(ClientShare {
                 start_row: rows,
                 rows: client_rows,
@@ -128,8 +133,8 @@ impl ShardPlan {
                 chunks,
                 tail_rows,
             });
-            chunk += chunks;
-            rows += client_rows;
+            chunk = chunk.checked_add(chunks).ok_or_else(overflow)?;
+            rows = rows.checked_add(client_rows).ok_or_else(overflow)?;
         }
         Ok(ShardPlan {
             chunk_rows,
@@ -234,6 +239,18 @@ mod tests {
         assert!(ShardPlan::from_client_geometry(4, &[(1, 4)]).is_err());
         assert!(ShardPlan::from_client_geometry(0, &[(1, 0)]).is_err());
         assert!(ShardPlan::from_client_geometry(4, &[]).is_err());
+        // Geometry that overflows the row or chunk count is refused with
+        // a typed error, never wrapped or a panic.
+        for geometry in [
+            &[(1usize << 62, 0usize)][..],
+            &[(usize::MAX / 4, 0), (1, 3)],
+            &[(usize::MAX, 0), (1, 0)],
+        ] {
+            assert!(matches!(
+                ShardPlan::from_client_geometry(4, geometry),
+                Err(crate::FederatedError::Protocol { .. })
+            ));
+        }
     }
 
     #[test]

@@ -28,11 +28,11 @@ use std::time::Duration;
 use functional_mechanism::core::estimator::{FitConfig, FmEstimator};
 use functional_mechanism::core::linreg::{DpLinearRegression, LinearObjective};
 use functional_mechanism::core::session::SharedPrivacySession;
-use functional_mechanism::data::stream::InMemorySource;
+use functional_mechanism::data::stream::{BlockVisitor, InMemorySource, RowBlock, RowSource};
 use functional_mechanism::data::{synth, Dataset};
 use functional_mechanism::federated::{
-    AccumUpload, Coordinator, FederatedClient, FederatedError, InMemoryTransport, NoiseMode,
-    QuorumPolicy, RetryPolicy, Transport,
+    dyadic_segments, AccumUpload, Coordinator, FederatedClient, FederatedError, InMemoryTransport,
+    NoiseMode, QuorumPolicy, RetryPolicy, ShardPlan, Transport,
 };
 use functional_mechanism::linalg::Matrix;
 use functional_mechanism::privacy::wal::checksum64;
@@ -156,6 +156,87 @@ fn intercept_round_on_custom_grid_matches_partial_fit() {
     assert_eq!(released, reference);
 }
 
+/// Forwards the owned and borrowed-block paths but not `zero_copy`, so a
+/// client's accumulator reads its segments one chunk per block: the
+/// transport every copying source gets.
+struct ChunkSized<S>(S);
+
+impl<S: RowSource> RowSource for ChunkSized<S> {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+    fn next_block(
+        &mut self,
+        max_rows: usize,
+    ) -> functional_mechanism::data::Result<Option<RowBlock>> {
+        self.0.next_block(max_rows)
+    }
+    fn for_each_block(
+        &mut self,
+        max_rows: usize,
+        f: &mut BlockVisitor<'_>,
+    ) -> functional_mechanism::data::Result<()> {
+        self.0.for_each_block(max_rows, f)
+    }
+}
+
+/// Shares cut into many dyadic segments upload the same bits whether a
+/// client's in-memory rows reach its accumulator in windows of chunks
+/// (zero-copy) or one chunk per block, and the round replays the
+/// single-machine fit. The geometry covers a share whose chunk count is
+/// not a power of two, an odd `start_chunk`, a ragged tail, and a
+/// 128-chunk segment, four times the accumulator's 32-chunk window.
+#[test]
+fn multi_segment_shares_upload_the_same_bits_from_windowed_and_chunk_sized_reads() {
+    let chunk = 8;
+    let plan = ShardPlan::from_client_geometry(chunk, &[(67, 0), (198, 0), (3, 5)]).unwrap();
+    assert_eq!(plan.shares[2].start_chunk, 265);
+    assert!(
+        dyadic_segments(plan.shares[1].start_chunk, plan.shares[1].chunks)
+            .iter()
+            .any(|&(_, rank)| rank == 7)
+    );
+    let rows = plan.total_rows;
+    let data = {
+        let mut rng = StdRng::seed_from_u64(31);
+        synth::linear_dataset(&mut rng, rows, 3, 0.1)
+    };
+    let estimator = DpLinearRegression::builder().epsilon(0.7).build();
+    let coordinator = Coordinator::with_chunk_rows(&estimator, NoiseMode::Central, chunk);
+
+    let mut coord_ends = Vec::new();
+    for (i, share) in plan.shares.iter().enumerate() {
+        let client = FederatedClient::with_chunk_rows(&estimator, format!("site-{i}"), chunk);
+        let shard = slice_dataset(&data, share.start_row, share.rows);
+        let windowed = client
+            .contribute_clean(&mut InMemorySource::new(&shard), share)
+            .unwrap();
+        let chunked = client
+            .contribute_clean(&mut ChunkSized(InMemorySource::new(&shard)), share)
+            .unwrap();
+        assert_eq!(
+            windowed.runs.len(),
+            dyadic_segments(share.start_chunk, share.chunks).len()
+        );
+        assert_eq!(windowed.staged_ys.len(), share.tail_rows);
+        assert_eq!(windowed.encode(), chunked.encode(), "share {i}");
+        let (mut tx, rx) = InMemoryTransport::pair();
+        client.upload(&mut tx, &windowed).unwrap();
+        coord_ends.push(rx);
+    }
+    let session = SharedPrivacySession::new();
+    let mut rng = StdRng::seed_from_u64(505);
+    let released = coordinator
+        .run_round(&mut coord_ends, &session, "segments", &mut rng)
+        .unwrap();
+
+    // The in-memory fit over the pooled rows on the same chunk grid.
+    let mut direct = estimator.partial_fit().chunk_rows(chunk);
+    direct.absorb(&mut InMemorySource::new(&data)).unwrap();
+    let mut rng = StdRng::seed_from_u64(505);
+    assert_eq!(released, direct.finalize(&mut rng).unwrap());
+}
+
 /// Budget arithmetic across rounds: a capped session admits the first
 /// round (debiting max ε across clients), refuses the round that would
 /// overdraw, and refuses duplicate client labels before any debit.
@@ -277,6 +358,62 @@ fn hostile_payloads_are_refused_with_typed_errors() {
         .unwrap_err();
     assert!(matches!(err, FederatedError::Protocol { .. }), "{err}");
     assert_eq!(session.spent_epsilon(), 0.0, "refused rounds cost nothing");
+}
+
+/// Frames that decode cleanly but claim a grid no round can hold are
+/// refused by the quorum collector with a typed protocol error, before
+/// any debit. In debug builds they used to overflow the re-planner's
+/// row arithmetic and panic; in release they wrapped.
+#[test]
+fn hostile_frame_geometry_is_refused_with_a_typed_error() {
+    let rows = 48;
+    let data = {
+        let mut rng = StdRng::seed_from_u64(9);
+        synth::linear_dataset(&mut rng, rows, 2, 0.1)
+    };
+    let estimator = DpLinearRegression::builder().epsilon(0.5).build();
+    let coordinator = Coordinator::with_chunk_rows(&estimator, NoiseMode::Central, 8);
+    let plan = coordinator.plan(rows, 1).unwrap();
+    let client = FederatedClient::with_chunk_rows(&estimator, "c", 8);
+    let good = client
+        .contribute_clean(&mut InMemorySource::new(&data), &plan.shares[0])
+        .unwrap();
+    let part = good.runs[0].1.clone();
+    // A frame of `rows` rows covered by one run of 2^rank chunks of
+    // `chunk_rows` rows each, at chunk `start_chunk`.
+    let forge = |client: &str, chunk_rows: usize, rank: u32, start_chunk: usize| {
+        let mut upload = good.clone();
+        upload.client = client.to_string();
+        upload.chunk_rows = chunk_rows;
+        upload.start_chunk = start_chunk;
+        upload.rows = (1usize << rank) * chunk_rows;
+        upload.runs = vec![(rank, part.clone())];
+        upload.encode()
+    };
+    let policy = QuorumPolicy::new(1, Duration::from_secs(5));
+    let refuse = |frames: Vec<String>| {
+        let mut coord_ends = Vec::new();
+        for frame in frames {
+            let (mut tx, rx) = InMemoryTransport::pair();
+            tx.send(frame.as_bytes()).unwrap();
+            coord_ends.push(rx);
+        }
+        let session = SharedPrivacySession::new();
+        let mut rng = StdRng::seed_from_u64(1);
+        let err = coordinator
+            .run_round_with_quorum(&mut coord_ends, &policy, &session, "t", &mut rng)
+            .unwrap_err();
+        assert!(matches!(err, FederatedError::Protocol { .. }), "{err}");
+        assert_eq!(session.spent_epsilon(), 0.0, "refused rounds cost nothing");
+    };
+
+    // One rank-62 run of 1-row chunks: 2^62 rows on its own grid, but
+    // 2^65 rows on the round's 8-row grid.
+    let hostile = forge("c", 1, 62, 0);
+    assert!(hostile.len() < 400, "a {}-byte frame", hostile.len());
+    refuse(vec![hostile]);
+    // On the round's grid, each frame fits but their sum does not.
+    refuse(vec![forge("a", 8, 60, 0), forge("b", 8, 60, 1 << 60)]);
 }
 
 /// The row ranges `ranges` of `data`, concatenated in order, as one

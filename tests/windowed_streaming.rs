@@ -12,7 +12,7 @@ use functional_mechanism::core::linreg::LinearObjective;
 use functional_mechanism::core::sparse::SparseFmEstimator;
 use functional_mechanism::core::{FmError, Objective, Strategy};
 use functional_mechanism::data::stream::{
-    BlockVisitor, InMemorySource, RowBlock, RowSource, ShardedSource,
+    BlockVisitor, InMemorySource, RowBlock, RowSource, ShardedSource, TakeRows,
 };
 use functional_mechanism::data::{synth, DataError, Dataset};
 use functional_mechanism::poly::Polynomial;
@@ -84,6 +84,11 @@ fn sharded_in_memory_sources_are_zero_copy_and_wrappers_are_not() {
     }
     assert!(forwarded(&mut sharded(&parts)));
     assert!(!ChunkSized(sharded(&parts)).zero_copy());
+    // A row cap lends its inner source's blocks, so it is as zero-copy
+    // as what it wraps.
+    let mut mem = InMemorySource::new(&data);
+    assert!(TakeRows::new(&mut mem, 5).zero_copy());
+    assert!(!TakeRows::new(ChunkSized(&mut mem), 5).zero_copy());
     let mixed = ShardedSource::new(vec![
         Box::new(InMemorySource::new(&parts[0])) as Box<dyn RowSource>,
         Box::new(ChunkSized(InMemorySource::new(&parts[1]))),
