@@ -16,6 +16,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use fm_bench::figures::{self, Axis};
+use fm_bench::report::Table;
 use fm_bench::runner::EvalConfig;
 
 struct Args {
@@ -93,23 +94,27 @@ fn main() -> ExitCode {
     if run("fig3") {
         println!("{}", figures::fig3());
     }
-    if run("fig4") {
-        tables.extend(figures::accuracy_figure("4", Axis::Dimensionality, &cfg));
-    }
-    if run("fig5") {
-        tables.extend(figures::accuracy_figure("5", Axis::SamplingRate, &cfg));
-    }
-    if run("fig6") {
-        tables.extend(figures::accuracy_figure("6", Axis::Epsilon, &cfg));
-    }
-    if run("fig7") {
-        tables.extend(figures::timing_figure("7", Axis::Dimensionality, &cfg));
-    }
-    if run("fig8") {
-        tables.extend(figures::timing_figure("8", Axis::SamplingRate, &cfg));
-    }
-    if run("fig9") {
-        tables.extend(figures::timing_figure("9", Axis::Epsilon, &cfg));
+    // The cross-validated figures fit every method, and a fit can fail
+    // (a baseline with too few rows, say): report it and stop.
+    type CellFigure = fn(&str, Axis, &EvalConfig) -> Result<Vec<Table>, String>;
+    let cell_figures: [(&str, CellFigure, Axis); 6] = [
+        ("4", figures::accuracy_figure, Axis::Dimensionality),
+        ("5", figures::accuracy_figure, Axis::SamplingRate),
+        ("6", figures::accuracy_figure, Axis::Epsilon),
+        ("7", figures::timing_figure, Axis::Dimensionality),
+        ("8", figures::timing_figure, Axis::SamplingRate),
+        ("9", figures::timing_figure, Axis::Epsilon),
+    ];
+    for (number, figure, axis) in cell_figures {
+        if run(&format!("fig{number}")) {
+            match figure(number, axis, &cfg) {
+                Ok(t) => tables.extend(t),
+                Err(e) => {
+                    eprintln!("error: figure {number}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            }
+        }
     }
     if run("ablation") {
         tables.extend(figures::ablation(&cfg));

@@ -123,7 +123,13 @@ fn main() -> ExitCode {
         "method", "error", "± std", "sec/fit"
     );
     for (mi, &m) in Method::lineup(task).iter().enumerate() {
-        let cell = evaluate(&w.data, task, m, epsilon, 1.0, &cfg, mi as u64);
+        let cell = match evaluate(&w.data, task, m, epsilon, 1.0, &cfg, mi as u64) {
+            Ok(cell) => cell,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
         println!(
             "{:<12} {:>12.5} {:>10.5} {:>12.4}",
             m.name(),

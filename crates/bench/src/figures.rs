@@ -146,8 +146,10 @@ pub fn fig3() -> String {
 
 /// Figures 4–6: the four accuracy panels (US/Brazil × Linear/Logistic)
 /// along `axis`.
-#[must_use]
-pub fn accuracy_figure(figure: &str, axis: Axis, cfg: &EvalConfig) -> Vec<Table> {
+///
+/// # Errors
+/// The first cell whose fit fails (see [`evaluate`]).
+pub fn accuracy_figure(figure: &str, axis: Axis, cfg: &EvalConfig) -> Result<Vec<Table>, String> {
     let mut tables = Vec::new();
     let panels = [
         ('a', Country::Us, Task::Linear),
@@ -210,7 +212,7 @@ pub fn accuracy_figure(figure: &str, axis: Axis, cfg: &EvalConfig) -> Vec<Table>
             let mut row = Vec::with_capacity(methods.len());
             for (mi, &method) in methods.iter().enumerate() {
                 let cell_seed = (xi as u64) << 32 | (mi as u64) << 16 | panel as u64;
-                let cell = evaluate(data, task, method, eps, rate, cfg, cell_seed);
+                let cell = evaluate(data, task, method, eps, rate, cfg, cell_seed)?;
                 row.push(cell.error_mean);
                 last_cells.push((method, cell));
             }
@@ -220,7 +222,7 @@ pub fn accuracy_figure(figure: &str, axis: Axis, cfg: &EvalConfig) -> Vec<Table>
         print_composed_epsilon(&last_cells);
         tables.push(table);
     }
-    tables
+    Ok(tables)
 }
 
 /// Footnote printed under each panel: the honest composed (ε) cost of one
@@ -251,8 +253,10 @@ fn print_composed_epsilon(last_cells: &[(Method, crate::runner::CellResult)]) {
 
 /// Figures 7–9: the two computation-time panels (US, Brazil) for logistic
 /// regression along `axis`, in seconds per training run.
-#[must_use]
-pub fn timing_figure(figure: &str, axis: Axis, cfg: &EvalConfig) -> Vec<Table> {
+///
+/// # Errors
+/// The first cell whose fit fails (see [`evaluate`]).
+pub fn timing_figure(figure: &str, axis: Axis, cfg: &EvalConfig) -> Result<Vec<Table>, String> {
     // Timing needs far fewer repetitions than accuracy (the paper's
     // log-scale plots span orders of magnitude): 1 repeat × 2 folds per
     // point keeps the slowest baselines (DPME/FP retrain on up-to-4n
@@ -318,7 +322,7 @@ pub fn timing_figure(figure: &str, axis: Axis, cfg: &EvalConfig) -> Vec<Table> {
                 // it must sit above the panel byte or `| panel` is a no-op
                 // ('a'/'b' are both submasks of 0x77).
                 let cell_seed = (xi as u64) << 32 | (mi as u64) << 16 | 0x77 << 8 | panel as u64;
-                let cell = evaluate(data, task, method, eps, rate, cfg, cell_seed);
+                let cell = evaluate(data, task, method, eps, rate, cfg, cell_seed)?;
                 row.push(cell.seconds_mean);
                 last_cells.push((method, cell));
             }
@@ -328,7 +332,7 @@ pub fn timing_figure(figure: &str, axis: Axis, cfg: &EvalConfig) -> Vec<Table> {
         print_composed_epsilon(&last_cells);
         tables.push(table);
     }
-    tables
+    Ok(tables)
 }
 
 /// Repo-specific ablations of three design choices: post-processing

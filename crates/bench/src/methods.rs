@@ -152,10 +152,9 @@ impl FittedModel {
 /// (`take_dataset`), so every bench cell and CV fold assembles at the
 /// batched path's rate (`BENCH_assembly.json`, `pr5-zero-copy-streaming`).
 ///
-/// # Panics
-/// On configuration errors or fit failures — the harness validates its
-/// grids up front, so a failure here is a bug, not an input condition.
-#[must_use]
+/// # Errors
+/// Whatever the method's fit refuses: too few rows for a baseline's
+/// histogram to produce synthetic tuples, say, on a tiny `--rows`.
 pub fn fit_in_session(
     session: &mut PrivacySession,
     method: Method,
@@ -163,40 +162,31 @@ pub fn fit_in_session(
     train: &Dataset,
     epsilon: f64,
     rng: &mut StdRng,
-) -> FittedModel {
+) -> fm_core::Result<FittedModel> {
     let mut source = fm_data::stream::InMemorySource::new(train);
-    match task {
+    Ok(match task {
         Task::Linear => {
             let est = linear_estimator(method, epsilon);
-            FittedModel::Linear(
-                session
-                    .fit_stream(est.as_ref(), &mut source, rng)
-                    .unwrap_or_else(|e| panic!("{} linear fit: {e}", method.name())),
-            )
+            FittedModel::Linear(session.fit_stream(est.as_ref(), &mut source, rng)?)
         }
         Task::Logistic => {
             let est = logistic_estimator(method, epsilon);
-            FittedModel::Logistic(
-                session
-                    .fit_stream(est.as_ref(), &mut source, rng)
-                    .unwrap_or_else(|e| panic!("{} logistic fit: {e}", method.name())),
-            )
+            FittedModel::Logistic(session.fit_stream(est.as_ref(), &mut source, rng)?)
         }
-    }
+    })
 }
 
 /// Fits `method` on `train` outside any session (one-off fits, tests).
 ///
-/// # Panics
+/// # Errors
 /// As [`fit_in_session`].
-#[must_use]
 pub fn fit(
     method: Method,
     task: Task,
     train: &Dataset,
     epsilon: f64,
     rng: &mut StdRng,
-) -> FittedModel {
+) -> fm_core::Result<FittedModel> {
     fit_in_session(
         &mut PrivacySession::new(),
         method,
@@ -255,14 +245,14 @@ mod tests {
         let lin = fm_data::synth::linear_dataset(&mut rng, 400, 3, 0.1);
         let log = fm_data::synth::logistic_dataset(&mut rng, 400, 3, 6.0);
         for &m in Method::lineup(Task::Linear) {
-            let model = fit(m, Task::Linear, &lin, 1.0, &mut rng);
+            let model = fit(m, Task::Linear, &lin, 1.0, &mut rng).unwrap();
             let preds = model.predict(&lin);
             assert_eq!(preds.len(), 400);
             let err = error_metric(Task::Linear, &preds, lin.y());
             assert!(err.is_finite());
         }
         for &m in Method::lineup(Task::Logistic) {
-            let model = fit(m, Task::Logistic, &log, 1.0, &mut rng);
+            let model = fit(m, Task::Logistic, &log, 1.0, &mut rng).unwrap();
             let preds = model.predict(&log);
             let err = error_metric(Task::Logistic, &preds, log.y());
             assert!((0.0..=1.0).contains(&err));

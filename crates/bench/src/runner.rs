@@ -84,7 +84,9 @@ pub struct CellResult {
 /// Runs `method` on `data` (already normalized + subsetted) with the CV
 /// protocol: `repeats` independent shuffles × `folds` folds, optionally
 /// subsampling at `rate` first. Returns the aggregated error and timing.
-#[must_use]
+///
+/// # Errors
+/// The first fit that fails, named by method and task.
 pub fn evaluate(
     data: &Dataset,
     task: Task,
@@ -93,7 +95,7 @@ pub fn evaluate(
     rate: f64,
     cfg: &EvalConfig,
     cell_seed: u64,
-) -> CellResult {
+) -> Result<CellResult, String> {
     let mut errors = Vec::with_capacity(cfg.repeats * cfg.folds);
     let mut seconds = Vec::with_capacity(cfg.repeats * cfg.folds);
     // One uncapped session per cell: every fold of every repeat is debited,
@@ -112,7 +114,8 @@ pub fn evaluate(
             let (train, test) = kf.split(&sampled, f).expect("split");
             let start = Instant::now();
             let model =
-                methods::fit_in_session(&mut session, method, task, &train, epsilon, &mut rng);
+                methods::fit_in_session(&mut session, method, task, &train, epsilon, &mut rng)
+                    .map_err(|e| format!("{} {} fit: {e}", method.name(), task.name()))?;
             seconds.push(start.elapsed().as_secs_f64());
             let preds = model.predict(&test);
             errors.push(methods::error_metric(task, &preds, test.y()));
@@ -127,14 +130,14 @@ pub fn evaluate(
     } else {
         (None, None)
     };
-    CellResult {
+    Ok(CellResult {
         error_mean,
         error_std,
         seconds_mean,
         fits: session.num_fits(),
         composed_epsilon_basic,
         composed_epsilon_best,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -156,7 +159,7 @@ mod tests {
     fn evaluate_produces_finite_results() {
         let cfg = tiny_cfg();
         let w = build(Country::Us, Task::Linear, cfg.rows_us, 5, 1);
-        let cell = evaluate(&w.data, Task::Linear, Method::NoPrivacy, 1.0, 1.0, &cfg, 0);
+        let cell = evaluate(&w.data, Task::Linear, Method::NoPrivacy, 1.0, 1.0, &cfg, 0).unwrap();
         assert!(cell.error_mean.is_finite());
         assert!(cell.error_std >= 0.0);
         assert!(cell.seconds_mean > 0.0);
@@ -170,7 +173,7 @@ mod tests {
     fn evaluate_reports_honest_composed_epsilon_for_private_methods() {
         let cfg = tiny_cfg();
         let w = build(Country::Us, Task::Linear, cfg.rows_us, 5, 1);
-        let cell = evaluate(&w.data, Task::Linear, Method::Fm, 0.8, 1.0, &cfg, 5);
+        let cell = evaluate(&w.data, Task::Linear, Method::Fm, 0.8, 1.0, &cfg, 5).unwrap();
         // 1 repeat × 3 folds, every fold debited sequentially.
         assert_eq!(cell.fits, cfg.repeats * cfg.folds);
         let basic = cell.composed_epsilon_basic.unwrap();
@@ -185,7 +188,7 @@ mod tests {
         let cfg = tiny_cfg();
         let w = build(Country::Brazil, Task::Linear, cfg.rows_brazil, 5, 2);
         for rate in [0.1, 0.5, 1.0] {
-            let cell = evaluate(&w.data, Task::Linear, Method::Fm, 1.6, rate, &cfg, 3);
+            let cell = evaluate(&w.data, Task::Linear, Method::Fm, 1.6, rate, &cfg, 3).unwrap();
             assert!(cell.error_mean.is_finite(), "rate {rate}");
         }
     }
@@ -194,8 +197,8 @@ mod tests {
     fn deterministic_given_config() {
         let cfg = tiny_cfg();
         let w = build(Country::Us, Task::Linear, cfg.rows_us, 5, 1);
-        let a = evaluate(&w.data, Task::Linear, Method::Fm, 0.8, 1.0, &cfg, 11);
-        let b = evaluate(&w.data, Task::Linear, Method::Fm, 0.8, 1.0, &cfg, 11);
+        let a = evaluate(&w.data, Task::Linear, Method::Fm, 0.8, 1.0, &cfg, 11).unwrap();
+        let b = evaluate(&w.data, Task::Linear, Method::Fm, 0.8, 1.0, &cfg, 11).unwrap();
         assert_eq!(a.error_mean, b.error_mean);
     }
 

@@ -1,6 +1,7 @@
 //! Command-line contracts of the two harness binaries: `fm-experiments`
 //! applies `--full` as the base whatever the flag order, and `fm-probe`
-//! refuses bad input with a message instead of a default or a panic.
+//! refuses bad input with a message instead of a default or a panic; a
+//! fit that fails makes either binary exit with an `error:` line.
 
 use std::process::{Command, Output};
 
@@ -53,6 +54,25 @@ fn probe_refuses_bad_values_without_panicking() {
         let out = run(env!("CARGO_BIN_EXE_fm-probe"), args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "{args:?} was accepted");
+        assert!(stderr.contains("error:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn a_failing_fit_is_an_error_not_a_panic() {
+    // Twenty rows leave DPME's noisy histogram without synthetic tuples.
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_fm-probe"), &["--rows", "20"][..]),
+        (
+            env!("CARGO_BIN_EXE_fm-experiments"),
+            &["--figure", "fig4", "--rows", "20", "--repeats", "1"],
+        ),
+    ] {
+        let out = run(bin, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains("error:"), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }

@@ -20,7 +20,7 @@
 //! read here once ([`push_state`], [`LineReader::staged`],
 //! [`LineReader::runs`]).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 pub use fm_privacy::wal::checksum64;
 
@@ -45,9 +45,11 @@ fn err(reason: impl Into<String>) -> CodecError {
     CodecError(reason.into())
 }
 
-/// Appends `v` in shortest-round-trip form (bit-exact on reparse).
+/// Appends `v` in shortest-round-trip form (bit-exact on reparse),
+/// formatted straight into `out`.
 pub(crate) fn push_f64(out: &mut String, v: f64) {
-    out.push_str(&format!("{v}"));
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{v}");
 }
 
 /// Appends a `tag v0 v1 …` line.
@@ -63,7 +65,7 @@ pub(crate) fn push_floats_line(out: &mut String, tag: &str, vals: &[f64]) {
 /// Closes a frame: appends the checksum line over every byte so far.
 pub fn seal(out: &mut String) {
     let sum = checksum64(out.as_bytes());
-    out.push_str(&format!("checksum {sum:016x}\n"));
+    let _ = writeln!(out, "checksum {sum:016x}");
 }
 
 /// Verifies the trailing checksum line of a frame and returns the body it
@@ -124,12 +126,12 @@ pub fn push_state<C: Coefficients>(
     tag: &str,
     runs: &[(u32, C)],
 ) {
-    out.push_str(&format!("staged {}\n", staged_ys.len()));
+    let _ = writeln!(out, "staged {}", staged_ys.len());
     push_floats_line(out, "stage_ys", staged_ys);
     push_floats_line(out, "stage_xs", staged_xs);
-    out.push_str(&format!("{tag}s {}\n", runs.len()));
+    let _ = writeln!(out, "{tag}s {}", runs.len());
     for (rank, part) in runs {
-        out.push_str(&format!("{tag} {rank}\n"));
+        let _ = writeln!(out, "{tag} {rank}");
         part.encode_body(out);
     }
 }

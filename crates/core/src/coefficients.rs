@@ -20,6 +20,8 @@
 //! [`GenericFunctionalMechanism`]), the §6 solve, the clean minimiser, the
 //! dense-only columnar kernels, and which solver failures Lemma 5 retries.
 
+use std::fmt::Write as _;
+
 use rand::Rng;
 
 use fm_data::Dataset;
@@ -113,12 +115,12 @@ impl Coefficients for Polynomial {
     /// `terms <k>`, then one `term <coeff> <e₁> … <e_d>` line per term in
     /// the polynomial's canonical (degree-major) order.
     fn encode_body(&self, out: &mut String) {
-        out.push_str(&format!("terms {}\n", self.num_terms()));
+        let _ = writeln!(out, "terms {}", self.num_terms());
         for (phi, coeff) in self.terms() {
             out.push_str("term ");
             codec::push_f64(out, coeff);
             for &e in phi.exponents() {
-                out.push_str(&format!(" {e}"));
+                let _ = write!(out, " {e}");
             }
             out.push('\n');
         }

@@ -47,6 +47,7 @@
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read};
 use std::path::Path;
+use std::sync::Mutex;
 
 use fm_linalg::Matrix;
 
@@ -492,6 +493,57 @@ fn field_value(v: &str) -> std::result::Result<f64, &'static str> {
     }
 }
 
+/// The index of the first `needle` in `haystack`, scanning eight bytes at
+/// a time.
+fn find_byte(needle: u8, haystack: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([1; 8]);
+    const HIGHS: u64 = ONES << 7;
+    let pattern = ONES * u64::from(needle);
+    let mut words = haystack.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("eight-byte chunk")) ^ pattern;
+        // Flags the zero bytes of `x`, and maybe bytes above a zero one:
+        // the lowest flag is always a match.
+        let found = x.wrapping_sub(ONES) & !x & HIGHS;
+        if found != 0 {
+            return Some(i * 8 + (found.trailing_zeros() / 8) as usize);
+        }
+    }
+    let rest = words.remainder();
+    let at = haystack.len() - rest.len();
+    rest.iter().position(|&b| b == needle).map(|i| at + i)
+}
+
+/// The comma-separated fields of a line, exactly as `str::split(',')`
+/// yields them, found with [`find_byte`]. A comma is one byte in UTF-8,
+/// so every field is a whole `str`.
+#[derive(Debug)]
+struct Fields<'a> {
+    rest: Option<&'a str>,
+}
+
+fn fields(line: &str) -> Fields<'_> {
+    Fields { rest: Some(line) }
+}
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = self.rest?;
+        Some(match find_byte(b',', rest.as_bytes()) {
+            Some(i) => {
+                self.rest = Some(&rest[i + 1..]);
+                &rest[..i]
+            }
+            None => {
+                self.rest = None;
+                rest
+            }
+        })
+    }
+}
+
 /// Parses one data line of the default dialect (`row.len()` feature
 /// fields, then the label) into `row` and returns the label. `lineno` is
 /// the 1-based file line for error reporting; after an error `row` holds
@@ -500,11 +552,11 @@ fn parse_numeric_row(line: &str, lineno: usize, row: &mut [f64]) -> Result<f64> 
     // Single pass: parse while counting, so no line is scanned twice.
     let d = row.len();
     let mut label = 0.0;
-    let mut fields = 0usize;
-    let mut it = line.split(',');
+    let mut count = 0usize;
+    let mut it = fields(line);
     for v in it.by_ref() {
-        if fields == d + 1 {
-            let total = fields + 1 + it.count();
+        if count == d + 1 {
+            let total = count + 1 + it.count();
             return Err(DataError::Parse {
                 line: lineno,
                 detail: format!("expected {} fields, found {total}", d + 1),
@@ -514,17 +566,17 @@ fn parse_numeric_row(line: &str, lineno: usize, row: &mut [f64]) -> Result<f64> 
             line: lineno,
             detail: format!("`{v}` {reason}"),
         })?;
-        if fields < d {
-            row[fields] = parsed;
+        if count < d {
+            row[count] = parsed;
         } else {
             label = parsed;
         }
-        fields += 1;
+        count += 1;
     }
-    if fields != d + 1 {
+    if count != d + 1 {
         return Err(DataError::Parse {
             line: lineno,
-            detail: format!("expected {} fields, found {fields}", d + 1),
+            detail: format!("expected {} fields, found {count}", d + 1),
         });
     }
     Ok(label)
@@ -557,23 +609,23 @@ impl ColumnMap {
     /// skipped without parsing.
     fn parse_row(&self, line: &str, lineno: usize, row: &mut [f64]) -> Result<f64> {
         let mut label = 0.0;
-        let mut fields = 0usize;
-        for v in line.split(',') {
-            if fields == self.roles.len() {
+        let mut count = 0usize;
+        for v in fields(line) {
+            if count == self.roles.len() {
                 return Err(DataError::Parse {
                     line: lineno,
                     detail: format!(
                         "expected {} fields, found {}",
                         self.roles.len(),
-                        line.split(',').count()
+                        fields(line).count()
                     ),
                 });
             }
-            let role = self.roles[fields];
+            let role = self.roles[count];
             if !matches!(role, ColumnRole::Skip) {
                 let parsed = field_value(v).map_err(|reason| DataError::Parse {
                     line: lineno,
-                    detail: format!("field {}: `{v}` {reason}", fields + 1),
+                    detail: format!("field {}: `{v}` {reason}", count + 1),
                 })?;
                 match role {
                     ColumnRole::Feature(slot) => row[slot] = parsed,
@@ -581,32 +633,67 @@ impl ColumnMap {
                     ColumnRole::Skip => unreachable!("skip handled above"),
                 }
             }
-            fields += 1;
+            count += 1;
         }
-        if fields != self.roles.len() {
+        if count != self.roles.len() {
             return Err(DataError::Parse {
                 line: lineno,
-                detail: format!("expected {} fields, found {fields}", self.roles.len()),
+                detail: format!("expected {} fields, found {count}", self.roles.len()),
             });
         }
         Ok(label)
     }
 }
 
-/// Most lines one parse window holds, so the byte window stays bounded
-/// whatever `max_rows` a caller asks for; a larger block takes several
-/// windows.
+/// Bytes the reader of a [`CsvStreamSource`] buffers. Framing takes the
+/// lines out of whole buffers, one read per buffer rather than one
+/// `read_until` per line. Draining a 73.6 MB census CSV at 4,096-row
+/// blocks on a 2-vCPU x86 host took a median 185, 171 and 172 ms with
+/// 8, 32 and 64 KiB, within noise of each other; 32 KiB keeps the reads
+/// few (about 2,300 a drain) at little memory.
+const READ_BUF_BYTES: usize = 32 * 1024;
+
+/// Most lines one parse window holds, so the two byte windows stay
+/// bounded whatever `max_rows` a caller asks for; a larger block takes
+/// several windows. The cap is set by memory, not speed: draining a
+/// 370,000-line census CSV (d = 13, about 200 bytes a line) at
+/// 20,000-row blocks on a 2-vCPU x86 host took a median 140, 145 and
+/// 145 ms with windows of 4,096, 8,192 and 16,384 lines, and two windows
+/// of 8,192 such lines hold about 3.3 MB of text.
 const WINDOW_LINES: usize = 8_192;
 
-/// Fewest lines a parse range holds. A window shorter than two ranges is
-/// parsed on the calling thread, so small blocks spawn no thread: a
-/// spawned range must parse long enough to repay the thread the vendored
-/// rayon starts for it. Draining a 370,000-line census CSV (d = 13) on a
-/// 2-vCPU x86 host, blocks split into two ranges of 512 lines parsed no
-/// faster than whole (232 vs 226 ms a drain), two of 1,024 gained 13%
-/// (193 vs 222 ms) and two of 2,048 gained 23% (177 vs 230 ms).
+/// Fewest lines a window needs for a helper thread to parse beside the
+/// calling thread while it reads ahead. A shorter window is parsed on the
+/// calling thread alone, so small blocks spawn no thread: the helper must
+/// parse long enough to repay its spawn. Draining the census CSV above in
+/// blocks of one window each (median of five drains, 2-vCPU x86 host),
+/// 256-line windows took 322 ms with a helper and 255 ms without one;
+/// 512-line windows took 181 ms with one and 328 ms without.
 #[cfg(feature = "parallel")]
-const MIN_RANGE_LINES: usize = 1_024;
+const MIN_RANGE_LINES: usize = 512;
+
+/// Lines in one piece of a window that the calling thread and the helper
+/// claim in turn: small enough that neither waits long for the other at
+/// the end of a window, large enough that claiming costs nothing. Pieces
+/// of 128, 256 and 512 lines drained the census CSV within noise of each
+/// other (medians 169–186 ms at 4,096-row blocks).
+const PIECE_LINES: usize = 256;
+
+/// Whether a window of `lines` is parsed beside a helper thread while the
+/// calling thread reads the next window ahead: only under the `parallel`
+/// feature, with more than one worker, and for windows long enough to
+/// repay the thread.
+fn reads_ahead(lines: usize) -> bool {
+    #[cfg(feature = "parallel")]
+    {
+        lines >= MIN_RANGE_LINES && rayon::current_num_threads() > 1
+    }
+    #[cfg(not(feature = "parallel"))]
+    {
+        let _ = lines;
+        false
+    }
+}
 
 /// One data line in the parse window: its bytes (line ending stripped)
 /// and its 1-based line number.
@@ -617,74 +704,146 @@ struct WindowLine {
     no: usize,
 }
 
-/// The lines a [`CsvStreamSource`] has read but not yet consumed: data
-/// lines only (blank ones are counted and dropped), back to back in one
-/// byte buffer reused across blocks.
+impl WindowLine {
+    /// The same line once the byte at `from` has moved to `to`.
+    fn moved(self, from: usize, to: usize) -> Self {
+        WindowLine {
+            start: self.start - from + to,
+            end: self.end - from + to,
+            no: self.no,
+        }
+    }
+}
+
+/// The lines a [`CsvStreamSource`] has framed but not yet consumed: data
+/// lines only (blank ones are counted and dropped), back to back without
+/// their line endings in one byte buffer reused across blocks, then the
+/// start of a line the reader has not ended yet.
 #[derive(Debug, Default)]
 struct LineWindow {
     bytes: Vec<u8>,
     lines: Vec<WindowLine>,
     /// Index of the first line not yet consumed.
     next: usize,
-    /// A reader error met while filling, reported once every line read
-    /// before it is consumed.
-    error: Option<io::Error>,
+    /// Where the line not yet ended starts.
+    tail: usize,
 }
 
 impl LineWindow {
-    /// The lines read but not yet consumed.
+    /// The lines framed but not yet consumed.
     fn pending(&self) -> &[WindowLine] {
         &self.lines[self.next..]
     }
 
-    /// Drops the consumed lines, then reads until `need` lines are
-    /// pending, the reader is exhausted or it fails. `line_no` counts
-    /// every line read, blank or not.
-    fn fill<R: Read>(&mut self, reader: &mut BufReader<R>, line_no: &mut usize, need: usize) {
-        let kept_from = self
-            .lines
-            .get(self.next)
-            .map_or(self.bytes.len(), |l| l.start);
-        self.bytes.drain(..kept_from);
-        self.lines.drain(..self.next);
-        for line in &mut self.lines {
-            line.start -= kept_from;
-            line.end -= kept_from;
+    /// Where line `i` starts, or the unended line if there is no line `i`.
+    fn start_of(&self, i: usize) -> usize {
+        self.lines.get(i).map_or(self.tail, |l| l.start)
+    }
+
+    /// Replaces what `to` holds with the lines from `from` on and the
+    /// unended line.
+    fn carry(&self, from: usize, to: &mut LineWindow) {
+        let at = self.start_of(from);
+        to.bytes.clear();
+        // Room for a window like this one, so `to` fills without doubling.
+        to.bytes.reserve_exact(self.bytes.len() + READ_BUF_BYTES);
+        to.bytes.extend_from_slice(&self.bytes[at..]);
+        to.lines.clear();
+        to.lines
+            .extend(self.lines[from..].iter().map(|l| l.moved(at, 0)));
+        to.next = 0;
+        to.tail = self.tail - at;
+    }
+
+    /// Undoes `self.carry(from, ahead)`, keeping what was framed into
+    /// `ahead` since: its lines follow line `from - 1` again.
+    fn rejoin(&mut self, from: usize, ahead: &LineWindow) {
+        let at = self.start_of(from);
+        self.bytes.truncate(at);
+        self.bytes.extend_from_slice(&ahead.bytes);
+        self.lines.truncate(from);
+        self.lines
+            .extend(ahead.lines.iter().map(|l| l.moved(0, at)));
+        self.tail = at + ahead.tail;
+    }
+
+    /// Appends the input in `chunk` until `need` lines are pending and
+    /// returns how many of its bytes it took. Each line it ends is counted
+    /// in `line_no`, loses its line ending as in `BufRead::lines` (the
+    /// `\n`, then one `\r` before it) and is kept unless it is blank; a
+    /// chunk taken whole leaves what follows its last `\n` as the unended
+    /// line.
+    fn append(&mut self, chunk: &[u8], need: usize, line_no: &mut usize) -> usize {
+        let mut taken = 0;
+        while self.pending().len() < need {
+            let Some(i) = find_byte(b'\n', &chunk[taken..]) else {
+                self.bytes.extend_from_slice(&chunk[taken..]);
+                return chunk.len();
+            };
+            self.bytes.extend_from_slice(&chunk[taken..taken + i]);
+            if self.bytes.len() > self.tail && self.bytes.last() == Some(&b'\r') {
+                self.bytes.pop();
+            }
+            self.end_line(line_no);
+            taken += i + 1;
         }
-        self.next = 0;
-        while self.lines.len() < need && self.error.is_none() {
-            let start = self.bytes.len();
-            match reader.read_until(b'\n', &mut self.bytes) {
-                Ok(0) => break,
-                Ok(_) => *line_no += 1,
-                Err(e) => {
-                    // `BufRead::lines` drops a line its reader fails in.
-                    self.bytes.truncate(start);
-                    self.error = Some(e);
-                    break;
-                }
-            }
-            strip_line_ending(&mut self.bytes, start);
-            if is_blank(&self.bytes[start..]) {
-                self.bytes.truncate(start);
-            } else {
-                self.lines.push(WindowLine {
-                    start,
-                    end: self.bytes.len(),
-                    no: *line_no,
-                });
-            }
+        taken
+    }
+
+    /// Ends the unended line: it is counted, and kept unless it is blank,
+    /// so blank lines take no room in the window.
+    fn end_line(&mut self, line_no: &mut usize) {
+        *line_no += 1;
+        if is_blank(&self.bytes[self.tail..]) {
+            self.bytes.truncate(self.tail);
+        } else {
+            self.lines.push(WindowLine {
+                start: self.tail,
+                end: self.bytes.len(),
+                no: *line_no,
+            });
+            self.tail = self.bytes.len();
         }
     }
 }
 
-/// Strips what `BufRead::lines` strips from the line that starts at
-/// `start`: a `\n`, then one `\r` before it.
-fn strip_line_ending(bytes: &mut Vec<u8>, start: usize) {
-    if bytes.len() > start && bytes.last() == Some(&b'\n') {
-        bytes.pop();
-        if bytes.len() > start && bytes.last() == Some(&b'\r') {
-            bytes.pop();
+/// The reader of a [`CsvStreamSource`] and how far it has got.
+#[derive(Debug)]
+struct LineInput<R> {
+    reader: BufReader<R>,
+    /// 1-based number of the last line framed (the header is line 1).
+    line: usize,
+    /// A reader error met while framing, reported once every line framed
+    /// before it is consumed.
+    error: Option<io::Error>,
+}
+
+impl<R: Read> LineInput<R> {
+    /// Appends reader buffers to `window` until `need` lines are pending,
+    /// the reader is exhausted or it fails. The lines past the `need`-th
+    /// stay in the reader's buffer, so a window holds at most `need`
+    /// lines and the start of one more.
+    fn fill(&mut self, window: &mut LineWindow, need: usize) {
+        while window.pending().len() < need && self.error.is_none() {
+            match self.reader.fill_buf() {
+                Ok([]) => {
+                    // The last line may lack its `\n`.
+                    if window.tail < window.bytes.len() {
+                        window.end_line(&mut self.line);
+                    }
+                    return;
+                }
+                Ok(chunk) => {
+                    let taken = window.append(chunk, need, &mut self.line);
+                    self.reader.consume(taken);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    // `BufRead::lines` drops a line its reader fails in.
+                    window.bytes.truncate(window.tail);
+                    self.error = Some(e);
+                }
+            }
         }
     }
 }
@@ -711,7 +870,7 @@ fn invalid_utf8() -> DataError {
 /// why.
 type FailedLine = (usize, DataError);
 
-/// The per-line parse, shared read-only by the ranges of a window.
+/// The per-line parse, shared read-only by the threads parsing a window.
 #[derive(Clone, Copy)]
 struct LineParser<'a> {
     d: usize,
@@ -767,40 +926,52 @@ impl LineParser<'_> {
         failed
     }
 
-    /// Parses a batch of lines into the rows of `xs`/`ys` and returns the
-    /// failed lines in file order. Under the `parallel` feature a batch of
-    /// at least two `MIN_RANGE_LINES` is cut into contiguous ranges, at
-    /// most one per worker, mapped in order on rayon.
-    fn parse_lines(
+    /// Parses a window like [`LineParser::parse_range`], in pieces of
+    /// [`PIECE_LINES`] lines that the calling thread and one helper thread
+    /// claim in turn from a shared queue; the calling thread runs `ahead`
+    /// first. Returns the failed lines in file order. If the helper cannot
+    /// be started, the calling thread parses every piece itself.
+    fn parse_beside(
         &self,
         bytes: &[u8],
         lines: &[WindowLine],
         xs: &mut [f64],
         ys: &mut [f64],
         budget: usize,
+        ahead: impl FnOnce(),
     ) -> Vec<FailedLine> {
-        #[cfg(feature = "parallel")]
-        {
-            let ranges = (lines.len() / MIN_RANGE_LINES).min(rayon::current_num_threads());
-            if ranges > 1 {
-                use rayon::prelude::*;
-                let len = lines.len().div_ceil(ranges);
-                let work: Vec<_> = lines
-                    .chunks(len)
-                    .zip(xs.chunks_mut(len * self.d))
-                    .zip(ys.chunks_mut(len))
-                    .enumerate()
-                    .collect();
-                let failed: Vec<Vec<FailedLine>> = work
-                    .into_par_iter()
-                    .map(|(r, ((lines, xs), ys))| {
-                        self.parse_range(bytes, lines, xs, ys, budget, r * len)
-                    })
-                    .collect();
-                return failed.into_iter().flatten().collect();
+        let pieces = lines
+            .chunks(PIECE_LINES)
+            .zip(xs.chunks_mut(PIECE_LINES * self.d))
+            .zip(ys.chunks_mut(PIECE_LINES))
+            .enumerate();
+        let pieces = Mutex::new(pieces);
+        let claim = || {
+            let mut failed = Vec::new();
+            loop {
+                let piece = pieces.lock().expect("claiming a piece never panics").next();
+                let Some((p, ((lines, xs), ys))) = piece else {
+                    return failed;
+                };
+                failed.extend(self.parse_range(bytes, lines, xs, ys, budget, p * PIECE_LINES));
             }
-        }
-        self.parse_range(bytes, lines, xs, ys, budget, 0)
+        };
+        std::thread::scope(|scope| {
+            let helper = std::thread::Builder::new()
+                .name("csv-parse".to_string())
+                .spawn_scoped(scope, claim)
+                .ok();
+            ahead();
+            let mut failed = claim();
+            if let Some(helper) = helper {
+                match helper.join() {
+                    Ok(theirs) => failed.extend(theirs),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            failed.sort_unstable_by_key(|&(i, _)| i);
+            failed
+        })
     }
 }
 
@@ -816,17 +987,24 @@ fn close_up(xs: &mut [f64], ys: &mut [f64], d: usize, rows: std::ops::Range<usiz
 /// a numeric CSV (same dialect as [`crate::csv::read_dataset`]: one header
 /// row, label last) **without materializing the file** — the out-of-core
 /// entry point. Peak memory is one [`RowBlock`] of the caller's requested
-/// size plus its byte window (the text of the block's lines, at most
-/// 8,192 of them), whatever the file size; the visitor path
-/// ([`RowSource::for_each_block`]) reuses the block buffers and the window
-/// across blocks, so a whole-file drain allocates no rows or text per
-/// block.
+/// size plus two line windows (each the text of at most 8,192 data lines
+/// and of the line being read; blank lines take no room) and the 32 KiB
+/// reader buffer, whatever the file size; the visitor path
+/// ([`RowSource::for_each_block`]) reuses the block buffers and the
+/// windows across blocks, so a whole-file drain allocates no rows or text
+/// per block.
 ///
-/// Each block's lines are read on the calling thread, then parsed in
-/// contiguous ranges — across cores under the `parallel` feature, for
-/// blocks long enough to repay a thread. Row errors are resolved in file
-/// order after the parse, so the rows, the quarantine report and the
-/// error lines never depend on how the lines were split.
+/// Lines are framed on the calling thread: each reader buffer is split at
+/// every `\n` by a word-at-a-time scan and its data lines are copied into
+/// a window, without their line endings. Under the `parallel`
+/// feature a window long enough to repay a thread is then parsed in
+/// small pieces that the calling thread and one helper thread claim in
+/// turn, while the calling thread first frames the next window into a
+/// second buffer. So the source reads at most one window past the block
+/// it returns. Row errors are resolved in file order after the parse, so
+/// the rows, the quarantine report and the error lines never depend on
+/// how the lines were split or how far ahead the source read; a reader
+/// error is reported once every line before it has been returned.
 ///
 /// Foreign CSVs whose columns are named but not laid out in the expected
 /// order (or that carry extra columns) can be re-keyed by header name
@@ -845,16 +1023,17 @@ fn close_up(xs: &mut [f64], ys: &mut [f64], d: usize, rows: std::ops::Range<usiz
 /// quarantine report.
 #[derive(Debug)]
 pub struct CsvStreamSource<R> {
-    reader: BufReader<R>,
-    /// Lines read ahead of the parse.
+    input: LineInput<R>,
+    /// Lines framed ahead of the parse.
     window: LineWindow,
+    /// The second window: the next lines are framed into it while
+    /// `window` parses, then the two swap.
+    ahead: LineWindow,
     /// The full header, in file order (features *and* label columns).
     header: Vec<String>,
     /// Selected feature names, in output order.
     names: Vec<String>,
     d: usize,
-    /// 1-based line number of the last line read (the header is line 1).
-    line: usize,
     normalizer: Option<(Normalizer, LabelTransform)>,
     /// Header-driven column mapping; `None` = the default dialect (every
     /// column a feature in file order, label last).
@@ -943,7 +1122,7 @@ impl<R: Read> CsvStreamSource<R> {
     /// [`DataError::Io`] / [`DataError::Parse`] on a missing or too-narrow
     /// header.
     pub fn from_reader(r: R) -> Result<Self> {
-        let mut reader = BufReader::new(r);
+        let mut reader = BufReader::with_capacity(READ_BUF_BYTES, r);
         let mut bytes = Vec::new();
         if reader.read_until(b'\n', &mut bytes)? == 0 {
             return Err(DataError::Parse {
@@ -951,10 +1130,13 @@ impl<R: Read> CsvStreamSource<R> {
                 detail: "empty file".to_string(),
             });
         }
-        strip_line_ending(&mut bytes, 0);
-        let header = std::str::from_utf8(&bytes).map_err(|_| invalid_utf8())?;
+        // `BufRead::lines` strips the `\n`, then one `\r` before it.
+        let header = bytes
+            .strip_suffix(b"\n")
+            .map_or(&bytes[..], |b| b.strip_suffix(b"\r").unwrap_or(b));
+        let header = std::str::from_utf8(header).map_err(|_| invalid_utf8())?;
         let header = header.strip_prefix('\u{feff}').unwrap_or(header);
-        let columns: Vec<String> = header.split(',').map(|s| s.trim().to_string()).collect();
+        let columns: Vec<String> = fields(header).map(|s| s.trim().to_string()).collect();
         if columns.len() < 2 {
             return Err(DataError::Parse {
                 line: 1,
@@ -963,15 +1145,16 @@ impl<R: Read> CsvStreamSource<R> {
         }
         let d = columns.len() - 1;
         Ok(CsvStreamSource {
-            reader,
-            window: LineWindow {
-                bytes,
-                ..LineWindow::default()
+            input: LineInput {
+                reader,
+                line: 1,
+                error: None,
             },
+            window: LineWindow::default(),
+            ahead: LineWindow::default(),
             names: columns[..d].to_vec(),
             header: columns,
             d,
-            line: 1,
             normalizer: None,
             map: None,
             block_xs: Vec::new(),
@@ -1021,7 +1204,7 @@ impl<R: Read> CsvStreamSource<R> {
     ///   already read, or a previously attached normalizer of foreign
     ///   arity.
     pub fn select_columns(mut self, features: &[&str], label: &str) -> Result<Self> {
-        if self.line != 1 {
+        if self.input.line != 1 {
             return Err(DataError::InvalidParameter {
                 name: "select_columns",
                 reason: "columns must be selected before any rows are read".to_string(),
@@ -1132,13 +1315,15 @@ impl<R: Read> CsvStreamSource<R> {
     /// the single row loop of the owned and borrowed block paths, so the
     /// two can never drift on dialect, mapping or normalization details.
     ///
-    /// Each round reads the lines the block still lacks into the window
-    /// on this thread and parses them into the block in ranges (see
-    /// [`LineParser::parse_lines`]). It then resolves the failed lines in
-    /// file order: the row-error policy skips or aborts line by line, kept
-    /// rows close up over skipped ones, and a block that skips left short
-    /// takes another round. An abort consumes the lines up to the failing
-    /// one, so the next call resumes after it.
+    /// Each round takes the lines the block still lacks from the window,
+    /// framing more on this thread when it runs short, and parses them
+    /// into the block: on this thread, or beside a helper while this
+    /// thread frames the next window into `ahead` (see
+    /// [`LineParser::parse_beside`]). It then resolves the failed lines
+    /// in file order: the row-error policy skips or aborts line by line,
+    /// kept rows close up over skipped ones, and a block that skips left
+    /// short takes another round. An abort consumes the lines up to the
+    /// failing one, so the next call resumes after it.
     fn read_block(&mut self, want: usize, xs: &mut Vec<f64>, ys: &mut Vec<f64>) -> Result<()> {
         let d = self.d;
         let parser = LineParser {
@@ -1148,10 +1333,14 @@ impl<R: Read> CsvStreamSource<R> {
         };
         while ys.len() < want {
             let need = (want - ys.len()).min(WINDOW_LINES);
-            self.window.fill(&mut self.reader, &mut self.line, need);
+            if self.window.pending().len() < need {
+                self.window.carry(self.window.next, &mut self.ahead);
+                self.input.fill(&mut self.ahead, need);
+                std::mem::swap(&mut self.window, &mut self.ahead);
+            }
             let batch = self.window.pending().len().min(need);
             if batch == 0 {
-                return self.window.error.take().map_or(Ok(()), |e| Err(e.into()));
+                return self.input.error.take().map_or(Ok(()), |e| Err(e.into()));
             }
             let base = ys.len();
             xs.resize((base + batch) * d, 0.0);
@@ -1164,14 +1353,20 @@ impl<R: Read> CsvStreamSource<R> {
                     cap.saturating_sub(self.quarantine.len()).saturating_add(1)
                 }
             };
-            let lines = &self.window.pending()[..batch];
-            let failed = parser.parse_lines(
-                &self.window.bytes,
-                lines,
-                &mut xs[base * d..],
-                &mut ys[base..],
-                budget,
-            );
+            let first = self.window.next;
+            let end = first + batch;
+            let lines = &self.window.lines[first..end];
+            let (xs_new, ys_new) = (&mut xs[base * d..], &mut ys[base..]);
+            let read_ahead = reads_ahead(batch);
+            let failed = if read_ahead {
+                let (window, ahead, input) = (&self.window, &mut self.ahead, &mut self.input);
+                parser.parse_beside(&window.bytes, lines, xs_new, ys_new, budget, || {
+                    window.carry(end, ahead);
+                    input.fill(ahead, want.min(WINDOW_LINES));
+                })
+            } else {
+                parser.parse_range(&self.window.bytes, lines, xs_new, ys_new, budget, 0)
+            };
             let mut kept = base;
             let mut from = 0;
             for (i, e) in failed {
@@ -1180,11 +1375,14 @@ impl<R: Read> CsvStreamSource<R> {
                     e => quarantine_row(self.policy, &mut self.quarantine, lines[i].no, e),
                 };
                 if let Err(e) = skipped {
-                    self.window.next += i + 1;
+                    if read_ahead {
+                        self.window.rejoin(end, &self.ahead);
+                    }
+                    self.window.next = first + i + 1;
                     if matches!(e, DataError::Io(_)) {
                         // `BufRead::lines` does not count a line it
                         // cannot decode; neither do the numbers after it.
-                        self.line -= 1;
+                        self.input.line -= 1;
                         for line in &mut self.window.lines[self.window.next..] {
                             line.no -= 1;
                         }
@@ -1199,7 +1397,10 @@ impl<R: Read> CsvStreamSource<R> {
             kept += batch - from;
             xs.truncate(kept * d);
             ys.truncate(kept);
-            self.window.next += batch;
+            self.window.next = end;
+            if read_ahead {
+                std::mem::swap(&mut self.window, &mut self.ahead);
+            }
         }
         Ok(())
     }
@@ -1905,8 +2106,9 @@ mod prefetch {
     /// Worth it when the inner source does real per-row work
     /// ([`super::CsvStreamSource`]): the worker reads and parses the next
     /// blocks while the consumer runs its kernels on the previous ones.
-    /// A CSV source parses each long block on every core by itself, so
-    /// the worker borrows the consumer's core while it parses; the
+    /// A CSV source parses each long block on the worker and a helper
+    /// thread by itself, so it borrows the consumer's core while it
+    /// parses; the
     /// overlap pays most where reading or the consumer's kernels are
     /// slow. An already-in-memory source gains nothing and pays the
     /// channel hop. Available with the `parallel` cargo feature.
@@ -2047,6 +2249,9 @@ pub(crate) fn drain<S: RowSource + ?Sized>(source: &mut S) -> Result<(Matrix, Ve
     }
     Ok((Matrix::from_vec(ys.len(), d, xs)?, ys))
 }
+
+#[cfg(test)]
+mod csv_tests;
 
 #[cfg(test)]
 mod tests {

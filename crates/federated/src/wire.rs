@@ -68,6 +68,8 @@
 //! of a torn payload — so a faulted transcript can be debugged from the
 //! error alone.
 
+use std::fmt::Write as _;
+
 use fm_core::codec::{self, LineReader};
 use fm_core::Coefficients;
 use fm_poly::QuadraticForm;
@@ -80,6 +82,14 @@ pub const ACCUM_MAGIC: &str = "fm-accum v2";
 
 /// Magic first line of an `fm-ctl` control message.
 pub const CTL_MAGIC: &str = "fm-ctl v1";
+
+/// Bytes [`AccumUpload::encode`] reserves for its fixed lines (magic,
+/// header keys, section counts, checksum), besides the client label.
+const HEADER_BYTES: usize = 256;
+
+/// Bytes reserved per float token: the longest shortest-round-trip `f64`
+/// (24 characters, as in `-2.2250738585072014e-308`) and its separator.
+const FLOAT_TOKEN_BYTES: usize = 25;
 
 /// Whether a payload carries exact (clean) accumulator state or a
 /// client-side perturbed (noisy) objective.
@@ -148,17 +158,28 @@ impl<P: Coefficients> AccumUpload<P> {
     /// [`AccumUpload::decode`] reproduces the exact bits.
     #[must_use]
     pub fn encode(&self) -> String {
-        let mut out = String::new();
+        // Sized for a quadratic body per run (1 + d + d² floats); other
+        // bodies grow the buffer as they need.
+        let floats = self.staged_xs.len()
+            + self.staged_ys.len()
+            + self.runs.len() * (1 + self.d + self.d * self.d);
+        let mut out =
+            String::with_capacity(HEADER_BYTES + self.client.len() + floats * FLOAT_TOKEN_BYTES);
         out.push_str(ACCUM_MAGIC);
         out.push('\n');
-        out.push_str(&format!("kind {}\n", P::KIND));
-        out.push_str(&format!("client {}\n", self.client));
-        out.push_str(&format!("round {}\n", self.round));
-        out.push_str(&format!("mode {}\n", self.mode.token()));
-        out.push_str(&format!("d {}\n", self.d));
-        out.push_str(&format!("chunk_rows {}\n", self.chunk_rows));
-        out.push_str(&format!("start_chunk {}\n", self.start_chunk));
-        out.push_str(&format!("rows {}\n", self.rows));
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            out,
+            "kind {}\nclient {}\nround {}\nmode {}\nd {}\nchunk_rows {}\nstart_chunk {}\nrows {}\n",
+            P::KIND,
+            self.client,
+            self.round,
+            self.mode.token(),
+            self.d,
+            self.chunk_rows,
+            self.start_chunk,
+            self.rows,
+        );
         codec::push_state(
             &mut out,
             &self.staged_xs,
@@ -394,6 +415,37 @@ mod tests {
             staged_xs: vec![0.1, 0.2, 0.3, 0.4],
             staged_ys: vec![0.5, -0.5],
         }
+    }
+
+    /// The bytes `sample_upload` encodes to, pinned so a change to the
+    /// writer cannot change the format unnoticed.
+    const SAMPLE_FRAME: &str = "fm-accum v2
+kind quadratic
+client alice
+round 7
+mode clean
+d 2
+chunk_rows 4
+start_chunk 4
+rows 22
+staged 2
+stage_ys 0.5 -0.5
+stage_xs 0.1 0.2 0.3 0.4
+runs 2
+run 2
+beta 0.013000000000000001
+alpha 0.13 -1.3
+m 1.3 0.65 0.65 2.6
+run 0
+beta -0.006999999999999999
+alpha -0.06999999999999999 0.7
+m -0.7 -0.35 -0.35 -1.4
+checksum 85f026eb24f58cf5
+";
+
+    #[test]
+    fn encoding_keeps_its_pinned_bytes() {
+        assert_eq!(sample_upload().encode(), SAMPLE_FRAME);
     }
 
     #[test]
