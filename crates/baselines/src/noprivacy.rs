@@ -27,11 +27,6 @@ pub enum OlsSolver {
     /// objective assembly FM perturbs; semi-definite failures surface as
     /// explicit `Singular` errors.
     NormalEquations,
-    /// SVD minimum-norm least squares — never fails on rank-deficient
-    /// input (returns the smallest-norm minimiser), at ~3× the cost of QR.
-    /// Used on heavily subsampled or degenerate synthetic data where entire
-    /// attribute columns can collapse.
-    SvdMinNorm,
 }
 
 /// Ordinary least squares.
@@ -59,24 +54,14 @@ impl LinearRegression {
         }
     }
 
-    /// OLS via SVD minimum-norm least squares; see [`OlsSolver::SvdMinNorm`].
-    #[must_use]
-    pub fn with_min_norm() -> Self {
-        LinearRegression {
-            solver: OlsSolver::SvdMinNorm,
-        }
-    }
-
     /// Fits `argmin_ω Σ (y_i − x_iᵀω)²`.
     ///
     /// # Errors
     /// [`crate::BaselineError::Linalg`] when the design matrix is rank
-    /// deficient (QR / normal-equation solvers only — the SVD solver always
-    /// returns the minimum-norm minimiser).
+    /// deficient.
     pub fn fit(&self, data: &Dataset) -> Result<LinearModel> {
         let omega = match self.solver {
             OlsSolver::Qr => qr::lstsq(data.x(), data.y())?,
-            OlsSolver::SvdMinNorm => fm_linalg::lstsq_min_norm(data.x(), data.y())?,
             OlsSolver::NormalEquations => {
                 // Same batched Gram kernels as the Functional Mechanism's
                 // coefficient assembly: XᵀX via blocked syrk, Xᵀy via the
@@ -292,19 +277,9 @@ mod tests {
     }
 
     #[test]
-    fn svd_solver_agrees_on_full_rank_data() {
-        let mut r = rng();
-        let data = fm_data::synth::linear_dataset(&mut r, 2_000, 4, 0.1);
-        let a = LinearRegression::new().fit(&data).unwrap();
-        let c = LinearRegression::with_min_norm().fit(&data).unwrap();
-        assert!(vecops::approx_eq(a.weights(), c.weights(), 1e-7));
-    }
-
-    #[test]
-    fn svd_solver_survives_rank_deficiency() {
-        // Duplicate a column: x₂ = x₁ exactly, so XᵀX is singular. QR and
-        // the normal equations must refuse; SVD returns the minimum-norm
-        // minimiser, which splits the weight evenly across the duplicates.
+    fn rank_deficient_data_is_refused() {
+        // Duplicate a column: x₂ = x₁ exactly, so XᵀX is singular, and
+        // both solvers must refuse with an error.
         let x = fm_linalg::Matrix::from_fn(50, 2, |r, _| ((r % 7) as f64 - 3.0) / 10.0);
         let y: Vec<f64> = (0..50).map(|r| ((r % 7) as f64 - 3.0) / 10.0).collect();
         let data = Dataset::new(x, y).unwrap();
@@ -313,10 +288,6 @@ mod tests {
         assert!(LinearRegression::with_normal_equations()
             .fit(&data)
             .is_err());
-
-        let model = LinearRegression::with_min_norm().fit(&data).unwrap();
-        // y = x₁ = x₂ ⇒ min-norm solution is (0.5, 0.5).
-        assert!(vecops::approx_eq(model.weights(), &[0.5, 0.5], 1e-9));
     }
 
     #[test]

@@ -118,7 +118,7 @@ pub fn fig2(seed: u64) -> String {
 pub fn fig3() -> String {
     let x = Matrix::from_rows(&[&[-0.5], &[0.0], &[1.0]]).expect("rows");
     let data = Dataset::new(x, vec![1.0, 0.0, 1.0]).expect("dataset");
-    let truncated = fm_core::logreg::truncated_objective(&data);
+    let truncated = fm_core::logreg::LogisticObjective.assemble(&data);
 
     let mut out = String::new();
     out.push_str(

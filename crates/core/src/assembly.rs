@@ -14,8 +14,9 @@
 //!    objectives override with blocked Gram kernels (`yᵀy`, `Xᵀy`, `XᵀX`;
 //!    see `fm_linalg::vecops::sum_squares`/`gemv_t_acc` and
 //!    `fm_linalg::Matrix::syrk_acc`) instead of per-tuple rank-1 updates;
-//! 3. the partials are combined by a **deterministic pairwise tree
-//!    reduction** in chunk order ([`QuadraticForm::merge`]).
+//! 3. the partials are combined in chunk order by a **deterministic
+//!    pairwise merge tree** ([`QuadraticForm::merge`]), built by one
+//!    binary-counter merger that every path shares.
 //!
 //! With the `parallel` cargo feature the chunk map runs on rayon.
 //! Determinism is by construction, not by luck: the chunk boundaries are a
@@ -29,7 +30,10 @@
 //! The streaming side — [`CoefficientAccumulator`] and
 //! [`assemble_shards`] — forms the same chunk grid and merge tree
 //! incrementally, once for both coefficient types: it is generic over
-//! [`Coefficients`] and drives the objective through [`Objective`].
+//! [`Coefficients`] and drives the objective through [`Objective`]. Every
+//! fit runs it, in memory too: `FmEstimator::fit` hands its dataset over
+//! whole ([`RowSource::take_dataset`]). [`assemble`] serves callers that
+//! want a dataset's clean sum without a fit.
 
 use fm_data::stream::{RowBlock, RowSource};
 use fm_data::{DataError, Dataset};
@@ -47,12 +51,12 @@ pub const DEFAULT_CHUNK_ROWS: usize = 4096;
 
 /// Splits `n` items into `⌈n / chunk_rows⌉` chunk bounds, maps every chunk
 /// to a partial result (in parallel when the `parallel` feature is on),
-/// and combines the partials with a pairwise tree reduction in chunk
-/// order. Returns `None` for `n = 0`.
+/// and merges the partials in chunk order through the same binary-counter
+/// merge tree the streaming accumulator builds. Returns `None` for
+/// `n = 0`.
 ///
-/// The reduction merges neighbours `(0,1), (2,3), …` per round, so the
-/// grouping — and hence the floating-point result — depends only on the
-/// chunk count, never on scheduling.
+/// The merge tree is a pure function of the chunk count, so the grouping
+/// — and hence the floating-point result — never depends on scheduling.
 pub fn map_reduce_chunks<T, M>(
     n: usize,
     chunk_rows: usize,
@@ -65,10 +69,13 @@ where
 {
     let chunk_rows = chunk_rows.max(1);
     let n_chunks = n.div_ceil(chunk_rows);
-    let partials = map_in_order((0..n_chunks).collect(), |c| {
+    let mut counter = TreeCounter::new();
+    for part in map_in_order((0..n_chunks).collect(), |c| {
         map(c * chunk_rows, ((c + 1) * chunk_rows).min(n))
-    });
-    tree_reduce(partials, merge)
+    }) {
+        counter.push(part, &merge);
+    }
+    counter.finish(&merge)
 }
 
 /// Maps `items` through `f`, on rayon under the `parallel` feature and
@@ -87,16 +94,16 @@ fn map_in_order<T: Send, U: Send>(items: Vec<T>, f: impl Fn(T) -> U + Sync + Sen
 }
 
 /// Incremental pairwise merger: pushing chunk partials one at a time
-/// produces **exactly** the merge tree of [`tree_reduce`] over the full
-/// partial list, while holding only `O(log n_chunks)` partials at once —
-/// what lets the streaming accumulator run out-of-core without giving up
-/// bit-identity with the batched in-memory path.
+/// produces **exactly** the merge tree of a round-based pairwise
+/// reduction over the full partial list (the test-only `tree_reduce`),
+/// while holding only `O(log n_chunks)` partials at once — the one merge
+/// of every assembly path, in memory and out-of-core.
 ///
 /// Invariant: the stack holds runs of `2^rank` consecutive chunks, ranks
 /// strictly decreasing from the bottom. Pushing a new chunk carries like
 /// binary addition (equal ranks merge, left operand first); finishing
 /// merges the leftover runs right-to-left. Both orders reproduce the
-/// round-based neighbour pairing of [`tree_reduce`]: each round there
+/// round-based neighbour pairing of `tree_reduce`: each round there
 /// merges runs covering index ranges `[i·2^r, (i+1)·2^r)` and pairs the
 /// trailing odd run with its left neighbour one round later — the same
 /// `(run, carry)` pairs, in the same left-to-right order, that the counter
@@ -438,7 +445,20 @@ impl<'a, O: Objective<C> + ?Sized, C: Coefficients> CoefficientAccumulator<'a, O
     /// [`FmError::Data`] for a dimensionality mismatch, transport errors
     /// from the source, or contract violations.
     pub fn absorb(&mut self, source: &mut (impl RowSource + ?Sized)) -> Result<usize> {
-        self.core.absorb_source(self.objective, source)
+        self.core.absorb_source(self.objective, source, false)
+    }
+
+    /// [`CoefficientAccumulator::absorb`] then
+    /// [`CoefficientAccumulator::finish`], for a source that brings the
+    /// last rows: a dataset handed over whole is mapped to its end in one
+    /// go, its ragged tail chunk included, rather than staging a tail no
+    /// later rows will fill.
+    pub(crate) fn absorb_last(
+        mut self,
+        source: &mut (impl RowSource + ?Sized),
+    ) -> Result<Option<C>> {
+        self.core.absorb_source(self.objective, source, true)?;
+        Ok(self.finish())
     }
 
     /// Serializes the accumulator's complete streaming state — chunk grid
@@ -569,8 +589,10 @@ impl<C: Coefficients> StreamCore<C> {
     ///    their partials pushed into the merge counter in order — and
     ///    when the objective has columnar kernels and the dataset a cached
     ///    transpose ([`fm_data::Dataset::columnar_on_reuse`]), the chunks
-    ///    read it, so repeat in-memory fits through the streaming entry
-    ///    points reach the batched path's steady-state rate;
+    ///    read it, so repeat in-memory fits reach the kernels'
+    ///    steady-state rate. When `last` says no rows follow (the caller
+    ///    finishes next), the ragged tail chunk is mapped with the rest
+    ///    instead of staged;
     /// 2. while the stage holds a partial chunk (a previous shard ended
     ///    mid-chunk), owned blocks are pulled at the staging boundary so a
     ///    well-behaved source re-aligns the stage in one block;
@@ -591,6 +613,7 @@ impl<C: Coefficients> StreamCore<C> {
         &mut self,
         objective: &O,
         source: &mut (impl RowSource + ?Sized),
+        last: bool,
     ) -> Result<usize> {
         self.check_dim("source", source.dim())?;
         let before = self.rows;
@@ -610,27 +633,31 @@ impl<C: Coefficients> StreamCore<C> {
                     None
                 };
                 let xs = data.x().as_slice();
-                // Only the *full* chunks may enter the counter here: a
-                // later absorb must be able to keep filling the final
-                // ragged chunk (continuation chunking is what makes a
-                // shard split invisible), so the tail goes through the
-                // ordinary stage exactly as a streamed block would.
-                let full_chunks = n / chunk_rows;
-                let parts = map_in_order((0..full_chunks).collect(), |c| {
-                    let (lo, hi) = (c * chunk_rows, (c + 1) * chunk_rows);
+                // Unless these are the last rows, only the *full* chunks
+                // may enter the counter here: a later absorb must be able
+                // to keep filling the final ragged chunk (continuation
+                // chunking is what makes a shard split invisible), so the
+                // tail goes through the ordinary stage exactly as a
+                // streamed block would.
+                let mapped = if last {
+                    n.div_ceil(chunk_rows)
+                } else {
+                    n / chunk_rows
+                };
+                for part in map_in_order((0..mapped).collect(), |c| {
+                    let (lo, hi) = (c * chunk_rows, ((c + 1) * chunk_rows).min(n));
+                    let mut part = C::zero(d);
                     match xt {
-                        Some(xt) => {
-                            let mut part = C::zero(d);
-                            objective.accumulate_columnar(xt, ys, lo, hi, &mut part);
-                            part
+                        Some(xt) => objective.accumulate_columnar(xt, ys, lo, hi, &mut part),
+                        None => {
+                            objective.accumulate(&xs[lo * d..hi * d], &ys[lo..hi], d, &mut part)
                         }
-                        None => chunk(objective, &xs[lo * d..hi * d], &ys[lo..hi], d),
                     }
-                });
-                for part in parts {
+                    part
+                }) {
                     self.counter.push(part, &C::merge);
                 }
-                let lo = full_chunks * chunk_rows;
+                let lo = (mapped * chunk_rows).min(n);
                 self.stage.push(&xs[lo * d..], &ys[lo..], |chunks| {
                     debug_assert!(chunks.is_empty(), "the tail is shorter than a chunk");
                 });
@@ -765,22 +792,6 @@ impl<C: Coefficients> StreamCore<C> {
     }
 }
 
-/// Pairwise in-order tree reduction; `None` on empty input.
-fn tree_reduce<T>(mut parts: Vec<T>, merge: impl Fn(&mut T, T)) -> Option<T> {
-    while parts.len() > 1 {
-        let mut next = Vec::with_capacity(parts.len().div_ceil(2));
-        let mut it = parts.into_iter();
-        while let Some(mut left) = it.next() {
-            if let Some(right) = it.next() {
-                merge(&mut left, right);
-            }
-            next.push(left);
-        }
-        parts = next;
-    }
-    parts.pop()
-}
-
 /// Assembles the exact objective `f_D(ω) = Σ_i f(t_i, ω)` through the
 /// batched chunk pipeline at the default chunk size. This is what
 /// [`PolynomialObjective::assemble`] calls.
@@ -804,44 +815,41 @@ pub fn assemble_with_chunk_rows<O>(
 where
     O: PolynomialObjective + ?Sized,
 {
+    let (d, xs, ys) = (data.d(), data.x().as_slice(), data.y());
+    // Columnar objectives read the dataset's cached `d × n` transpose
+    // instead of re-packing each row chunk into column panels.
+    // `columnar_on_reuse` only materialises it from a dataset's second
+    // assembly pass onward, so one-shot fits skip the `n·d` allocation
+    // while repeat workloads amortize it. The columnar kernels replicate
+    // the row-major kernels' floating-point grouping, so the layout can
+    // never perturb coefficients.
+    let xt = if objective.supports_columnar() {
+        data.columnar_on_reuse()
+    } else {
+        None
+    };
+    assemble_chunks(data, chunk_rows, |lo, hi, q: &mut QuadraticForm| match xt {
+        Some(xt) => objective.accumulate_batch_columnar(xt, ys, lo, hi, q),
+        None => objective.accumulate_batch(&xs[lo * d..hi * d], &ys[lo..hi], d, q),
+    })
+}
+
+/// The clean sum over `data` on the `chunk_rows` grid: `kernel(lo, hi,
+/// part)` accumulates rows `[lo, hi)` into each chunk's fresh zero
+/// coefficients, and [`map_reduce_chunks`] merges them — the in-memory
+/// assembly of both objective families.
+pub(crate) fn assemble_chunks<C: Coefficients>(
+    data: &Dataset,
+    chunk_rows: usize,
+    kernel: impl Fn(usize, usize, &mut C) + Sync,
+) -> C {
     let d = data.d();
-    let ys = data.y();
-    if objective.supports_columnar() {
-        // Column-major fast path: read the dataset's cached `d × n`
-        // transpose instead of re-packing each row chunk into column
-        // panels. `columnar_on_reuse` only materialises the transpose
-        // from a dataset's second assembly pass onward, so one-shot fits
-        // (fresh CV folds, intercept-augmented copies) skip the `n·d`
-        // allocation while repeat workloads amortize it. The columnar
-        // kernels replicate the row-major kernels' floating-point
-        // grouping, so both branches are bit-identical and the choice
-        // can never perturb coefficients.
-        if let Some(xt) = data.columnar_on_reuse() {
-            return map_reduce_chunks(
-                data.n(),
-                chunk_rows,
-                |lo, hi| {
-                    let mut q = QuadraticForm::zero(d);
-                    objective.accumulate_batch_columnar(xt, ys, lo, hi, &mut q);
-                    q
-                },
-                |acc, part| acc.merge(part),
-            )
-            .unwrap_or_else(|| QuadraticForm::zero(d));
-        }
-    }
-    let xs = data.x().as_slice();
-    map_reduce_chunks(
-        data.n(),
-        chunk_rows,
-        |lo, hi| {
-            let mut q = QuadraticForm::zero(d);
-            objective.accumulate_batch(&xs[lo * d..hi * d], &ys[lo..hi], d, &mut q);
-            q
-        },
-        |acc, part| acc.merge(part),
-    )
-    .unwrap_or_else(|| QuadraticForm::zero(d))
+    let map = |lo, hi| {
+        let mut part = C::zero(d);
+        kernel(lo, hi, &mut part);
+        part
+    };
+    map_reduce_chunks(data.n(), chunk_rows, map, C::merge).unwrap_or_else(|| C::zero(d))
 }
 
 /// Assembles each shard's exact objective **independently** — one
@@ -921,6 +929,24 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Round-based pairwise reduction in chunk order — neighbours `(0,1),
+    /// (2,3), …` merge each round — the reference merge tree that
+    /// [`TreeCounter`] reproduces incrementally; `None` on empty input.
+    fn tree_reduce<T>(mut parts: Vec<T>, merge: impl Fn(&mut T, T)) -> Option<T> {
+        while parts.len() > 1 {
+            let mut next = Vec::with_capacity(parts.len().div_ceil(2));
+            let mut it = parts.into_iter();
+            while let Some(mut left) = it.next() {
+                if let Some(right) = it.next() {
+                    merge(&mut left, right);
+                }
+                next.push(left);
+            }
+            parts = next;
+        }
+        parts.pop()
+    }
 
     #[test]
     fn tree_reduce_handles_all_sizes() {

@@ -24,7 +24,6 @@ use std::fmt::Write as _;
 
 use rand::Rng;
 
-use fm_data::Dataset;
 use fm_linalg::Matrix;
 use fm_poly::{Monomial, Polynomial, QuadraticForm};
 
@@ -158,7 +157,9 @@ impl Coefficients for Polynomial {
 /// [`RegressionObjective`] is an `Objective<QuadraticForm>`, every
 /// [`SparseRegressionObjective`] an `Objective<Polynomial>`. Implement
 /// those traits, not this one. The method names differ from the family
-/// traits' so both can be in scope at once.
+/// traits' so both can be in scope at once. Every fit, in memory or
+/// streamed, reaches it through the
+/// [`crate::assembly::CoefficientAccumulator`], so it sees row blocks only.
 pub trait Objective<C: Coefficients>: Sync {
     /// The model type wrapping the released weights.
     type Model: PersistableModel;
@@ -166,23 +167,13 @@ pub trait Objective<C: Coefficients>: Sync {
     /// What Algorithm 1's noise step releases.
     type Noisy;
 
-    /// Validates a dataset against the objective's domain contract.
-    ///
-    /// # Errors
-    /// A [`fm_data::DataError`] describing the violation.
-    fn check_data(&self, data: &Dataset) -> fm_data::Result<()>;
-
     /// Validates one row-major block (`xs` is `k × d`, `k = ys.len()`)
-    /// against the same contract; tuple indices in errors are
-    /// block-local.
+    /// against the objective's domain contract; tuple indices in errors
+    /// are block-local. A whole in-memory dataset is one block.
     ///
     /// # Errors
     /// A [`fm_data::DataError`] describing the violation.
     fn check_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()>;
-
-    /// Assembles the exact objective over a whole dataset through the
-    /// chunked map-reduce.
-    fn assemble_data(&self, data: &Dataset) -> C;
 
     /// Accumulates one row chunk into `into`.
     fn accumulate(&self, xs: &[f64], ys: &[f64], d: usize, into: &mut C);
@@ -242,16 +233,8 @@ impl<O: RegressionObjective> Objective<QuadraticForm> for O {
     type Model = O::Model;
     type Noisy = NoisyQuadratic;
 
-    fn check_data(&self, data: &Dataset) -> fm_data::Result<()> {
-        self.validate(data)
-    }
-
     fn check_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()> {
         self.validate_rows(xs, ys, d)
-    }
-
-    fn assemble_data(&self, data: &Dataset) -> QuadraticForm {
-        self.assemble(data)
     }
 
     fn accumulate(&self, xs: &[f64], ys: &[f64], d: usize, into: &mut QuadraticForm) {
@@ -311,16 +294,8 @@ impl<O: SparseRegressionObjective> Objective<Polynomial> for O {
     type Model = O::Model;
     type Noisy = NoisyPolynomial;
 
-    fn check_data(&self, data: &Dataset) -> fm_data::Result<()> {
-        self.validate(data)
-    }
-
     fn check_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()> {
         self.validate_rows(xs, ys, d)
-    }
-
-    fn assemble_data(&self, data: &Dataset) -> Polynomial {
-        self.assemble(data)
     }
 
     fn accumulate(&self, xs: &[f64], ys: &[f64], d: usize, into: &mut Polynomial) {

@@ -33,7 +33,7 @@ use std::marker::PhantomData;
 
 use rand::{Rng, RngCore};
 
-use fm_data::stream::{InterceptAugmentSource, RowBlock, RowSource};
+use fm_data::stream::{InMemorySource, InterceptAugmentSource, RowBlock, RowSource};
 use fm_data::{DataError, Dataset};
 use fm_poly::QuadraticForm;
 
@@ -318,7 +318,10 @@ impl<O: Objective<C>, C: Coefficients> FmEstimator<O, C> {
     }
 
     /// Fits a private model on `data`, which must satisfy the objective's
-    /// normalized-domain contract.
+    /// normalized-domain contract. This *is* [`FmEstimator::fit_stream`]
+    /// over an [`InMemorySource`]: the accumulator takes the dataset (or
+    /// its cached intercept augmentation) over whole, validates it in one
+    /// pass and chunks it in place.
     ///
     /// # Errors
     /// * [`FmError::Data`] for contract violations.
@@ -329,11 +332,7 @@ impl<O: Objective<C>, C: Coefficients> FmEstimator<O, C> {
     ///   [`FmError::Optim`] when the configured strategy cannot produce a
     ///   bounded objective.
     pub fn fit(&self, data: &Dataset, rng: &mut impl Rng) -> Result<O::Model> {
-        self.check_noise()?;
-        let work = self.working_data(data);
-        self.objective.check_data(work)?;
-        let clean = self.objective.assemble_data(work);
-        self.release_clean(&clean, rng)
+        self.fit_stream(&mut InMemorySource::new(data), rng)
     }
 
     /// Fits a private model from a streaming [`RowSource`] — Algorithm 1
@@ -346,10 +345,8 @@ impl<O: Objective<C>, C: Coefficients> FmEstimator<O, C> {
     /// **bit-identical** to `fit` on the materialized dataset — for any
     /// block sizing or shard split the source happens to deliver (the
     /// facade's `tests/streaming_equivalence.rs` property suite pins
-    /// this). Equivalently: `fit(data, rng)` *is*
-    /// `fit_stream(&mut InMemorySource::new(data), rng)`; the in-memory
-    /// entry point merely keeps its zero-copy/columnar assembly fast
-    /// path.
+    /// this); `fit(data, rng)` is `fit_stream(&mut
+    /// InMemorySource::new(data), rng)`.
     ///
     /// # Errors
     /// As [`FmEstimator::fit`], plus transport errors from the source as
@@ -359,9 +356,23 @@ impl<O: Objective<C>, C: Coefficients> FmEstimator<O, C> {
         source: &mut (impl RowSource + ?Sized),
         rng: &mut impl Rng,
     ) -> Result<O::Model> {
-        let mut partial = self.partial_fit();
-        partial.absorb(source)?;
-        partial.finalize(rng)
+        self.check_noise()?;
+        let clean = self.assemble_clean(source)?;
+        self.release_clean(&clean, rng)
+    }
+
+    /// The exact clean coefficients over all of `source` at the working
+    /// dimensionality (the footnote-2 augmentation applied when
+    /// configured): the one data pass of [`FmEstimator::fit_stream`],
+    /// [`FmEstimator::fit`] and [`FmEstimator::fit_without_privacy`].
+    fn assemble_clean(&self, source: &mut (impl RowSource + ?Sized)) -> Result<C> {
+        let clean = if self.config.fit_intercept {
+            let mut aug = InterceptAugmentSource::new(source);
+            CoefficientAccumulator::new(&self.objective, aug.dim()).absorb_last(&mut aug)
+        } else {
+            CoefficientAccumulator::new(&self.objective, source.dim()).absorb_last(source)
+        };
+        clean?.ok_or(FmError::Data(DataError::EmptyDataset))
     }
 
     /// Begins a two-phase **shard-at-a-time** fit: feed any number of
@@ -549,23 +560,9 @@ impl<O: Objective<C>, C: Coefficients> FmEstimator<O, C> {
     /// degenerate (rank-deficient) quadratic or a general-degree objective
     /// unbounded within the divergence radius.
     pub fn fit_without_privacy(&self, data: &Dataset) -> Result<O::Model> {
-        let work = self.working_data(data);
-        self.objective.check_data(work)?;
-        let clean = self.objective.assemble_data(work);
+        // Nothing is released, so no noise configuration is refused.
+        let clean = self.assemble_clean(&mut InMemorySource::new(data))?;
         Ok(self.finish(O::minimize_clean(&clean)?, None))
-    }
-
-    /// The data the objective is fitted on: `data` itself, or under
-    /// footnote 2 the √2-scaled augmentation with d+1 weights (its
-    /// contract is implied by the original's). The cached instance is
-    /// shared by every intercept fit on `data`, so repeat fits reuse one
-    /// augmentation and unlock its columnar assembly kernels.
-    fn working_data<'d>(&self, data: &'d Dataset) -> &'d Dataset {
-        if self.config.fit_intercept {
-            data.augmented_for_intercept_cached()
-        } else {
-            data
-        }
     }
 
     /// The noise/strategy compatibility guard every entry point runs
@@ -1104,6 +1101,48 @@ mod tests {
                 .fit_stream(&mut InMemorySource::new(&data), &mut r2)
                 .unwrap();
             assert_eq!(in_memory, streamed, "intercept={intercept}");
+        }
+    }
+
+    #[test]
+    fn fit_without_privacy_ignores_the_noise_configuration() {
+        // The non-private fit releases nothing, so a configuration only a
+        // release refuses (Resample with Gaussian noise) must not stop it:
+        // it is the minimiser of the exact objective on the working data.
+        let mut r = rng();
+        let data = fm_data::synth::linear_dataset(&mut r, 9_000, 3, 0.1);
+        for intercept in [false, true] {
+            let est = FmEstimator::new(
+                LinearObjective,
+                FitConfig::new()
+                    .noise(NoiseDistribution::Gaussian { delta: 1e-6 })
+                    .strategy(Strategy::Resample { max_attempts: 3 })
+                    .fit_intercept(intercept),
+            );
+            assert!(matches!(
+                est.fit(&data, &mut r),
+                Err(FmError::InvalidConfig {
+                    name: "strategy",
+                    ..
+                })
+            ));
+            let work = if intercept {
+                data.augmented_for_intercept_cached()
+            } else {
+                &data
+            };
+            let clean = LinearObjective.assemble(work);
+            let omega = fm_optim::quadratic::minimize_quadratic(clean.m(), clean.alpha()).unwrap();
+            let (omega, b) = if intercept {
+                crate::model::split_augmented_weights(omega)
+            } else {
+                (omega, 0.0)
+            };
+            let model = est.fit_without_privacy(&data).unwrap();
+            let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(model.weights()), bits(&omega), "intercept={intercept}");
+            assert_eq!(model.intercept().to_bits(), b.to_bits());
+            assert_eq!(Model::epsilon(&model), None);
         }
     }
 

@@ -99,54 +99,35 @@ pub trait GeneralObjective: Sync {
         None
     }
 
-    /// Validates the dataset against the domain this objective's
-    /// sensitivity analysis assumes.
-    ///
-    /// # Errors
-    /// A [`fm_data::DataError`] describing the violation.
-    fn validate(&self, data: &Dataset) -> fm_data::Result<()>;
-
-    /// Validates one streamed row-major block against the same contract —
+    /// Validates one row-major block (`xs` is `k × d`, `k = ys.len()`)
+    /// against the domain this objective's sensitivity analysis assumes —
     /// the general-degree counterpart of
-    /// [`crate::PolynomialObjective::validate_rows`], consumed by the
-    /// streaming [`crate::assembly::CoefficientAccumulator`]. The default materializes the block and
-    /// delegates; the built-ins override with the allocation-free row
-    /// checks.
+    /// [`crate::PolynomialObjective::validate_rows`], and the one
+    /// statement of the contract every fit checks as its rows arrive.
     ///
     /// # Errors
     /// A [`fm_data::DataError`] describing the violation (tuple indices
     /// are block-local).
-    fn validate_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()> {
-        if ys.is_empty() {
-            return Ok(());
-        }
-        let x = fm_linalg::Matrix::from_vec(ys.len(), d, xs.to_vec()).map_err(|_| {
-            fm_data::DataError::LengthMismatch {
-                rows: xs.len() / d.max(1),
-                labels: ys.len(),
-            }
-        })?;
-        self.validate(&Dataset::new(x, ys.to_vec())?)
+    fn validate_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()>;
+
+    /// Validates a whole dataset: [`GeneralObjective::validate_rows`] over
+    /// its row-major feature block.
+    ///
+    /// # Errors
+    /// A [`fm_data::DataError`] describing the violation.
+    fn validate(&self, data: &Dataset) -> fm_data::Result<()> {
+        self.validate_rows(data.x().as_slice(), data.y(), data.d())
     }
 
     /// Assembles the exact objective `f_D(ω) = Σ_i f(t_i, ω)` through the
     /// same chunked map-reduce as the degree-2 path (data-parallel with
     /// the `parallel` feature; deterministic merge order).
     fn assemble(&self, data: &Dataset) -> Polynomial {
-        let d = data.d();
-        let xs = data.x().as_slice();
-        let ys = data.y();
-        crate::assembly::map_reduce_chunks(
-            data.n(),
-            crate::assembly::DEFAULT_CHUNK_ROWS,
-            |lo, hi| {
-                let mut f = Polynomial::zero(d);
-                self.accumulate_chunk(&xs[lo * d..hi * d], &ys[lo..hi], d, &mut f);
-                f
-            },
-            |acc, part| acc.add_assign(&part),
-        )
-        .unwrap_or_else(|| Polynomial::zero(d))
+        let (d, xs, ys) = (data.d(), data.x().as_slice(), data.y());
+        let chunk_rows = crate::assembly::DEFAULT_CHUNK_ROWS;
+        crate::assembly::assemble_chunks(data, chunk_rows, |lo, hi, f| {
+            self.accumulate_chunk(&xs[lo * d..hi * d], &ys[lo..hi], d, f);
+        })
     }
 }
 
@@ -473,10 +454,6 @@ impl GeneralObjective for GeneralLinearObjective {
         Some(crate::linreg::sensitivity_l2())
     }
 
-    fn validate(&self, data: &Dataset) -> fm_data::Result<()> {
-        data.check_normalized_linear()
-    }
-
     fn validate_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()> {
         fm_data::dataset::check_rows_normalized_linear(xs, ys, d)
     }
@@ -527,10 +504,6 @@ impl GeneralObjective for QuarticObjective {
         // bound 2(1+d)⁴ for d ≥ 2.
         let sqrt_dp1 = 1.0 + (d as f64).sqrt();
         Some(2.0 * sqrt_dp1.powi(4))
-    }
-
-    fn validate(&self, data: &Dataset) -> fm_data::Result<()> {
-        data.check_normalized_linear()
     }
 
     fn validate_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()> {
@@ -702,8 +675,8 @@ mod tests {
             fn sensitivity(&self, d: usize) -> f64 {
                 QuarticObjective.sensitivity(d)
             }
-            fn validate(&self, data: &Dataset) -> fm_data::Result<()> {
-                data.check_normalized_linear()
+            fn validate_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()> {
+                fm_data::dataset::check_rows_normalized_linear(xs, ys, d)
             }
         }
         let mut r = rng();

@@ -23,7 +23,7 @@
 //!   (CV repeats, ε-sweeps, model selection).
 //! * [`assembly`] — the **batched coefficient-assembly hot path**: chunked
 //!   map-reduce over the dataset's rows with blocked Gram kernels
-//!   (`yᵀy` / `Xᵀy` / `XᵀX`) and a deterministic pairwise tree reduction;
+//!   (`yᵀy` / `Xᵀy` / `XᵀX`) and a deterministic pairwise merge tree;
 //!   data-parallel behind the `parallel` cargo feature with bit-identical
 //!   results for every worker count.
 //! * [`mechanism`] — **Algorithm 1**: express the objective function

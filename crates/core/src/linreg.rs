@@ -12,7 +12,6 @@
 //! normalized domain (`‖x‖₂ ≤ 1`, `y ∈ [−1,1]`) the paper bounds the
 //! coefficient sensitivity by `Δ = 2(1 + 2d + d²) = 2(d+1)²`.
 
-use fm_data::Dataset;
 use fm_poly::QuadraticForm;
 
 use crate::estimator::{EstimatorBuilder, FmEstimator, RegressionObjective};
@@ -122,10 +121,6 @@ impl PolynomialObjective for LinearObjective {
         sensitivity_l2()
     }
 
-    fn validate(&self, data: &Dataset) -> fm_data::Result<()> {
-        data.check_normalized_linear()
-    }
-
     fn validate_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()> {
         fm_data::dataset::check_rows_normalized_linear(xs, ys, d)
     }
@@ -180,6 +175,7 @@ impl DpLinearRegression {
 mod tests {
     use super::*;
     use crate::{FmError, NoiseDistribution, Strategy};
+    use fm_data::Dataset;
     use fm_linalg::{vecops, Matrix};
     use rand::SeedableRng;
 

@@ -18,7 +18,6 @@
 //! paper stresses — the injected noise is independent of the dataset
 //! cardinality.
 
-use fm_data::Dataset;
 use fm_poly::chebyshev::logistic_chebyshev;
 use fm_poly::taylor::{identity_component, logistic_log1pexp_component, TaylorComponent};
 use fm_poly::QuadraticForm;
@@ -117,21 +116,9 @@ impl PolynomialObjective for LogisticObjective {
         sensitivity_l2()
     }
 
-    fn validate(&self, data: &Dataset) -> fm_data::Result<()> {
-        data.check_normalized_logistic()
-    }
-
     fn validate_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()> {
         fm_data::dataset::check_rows_normalized_logistic(xs, ys, d)
     }
-}
-
-/// Assembles the noise-free truncated objective `f̂_D(ω)` — shared with the
-/// `Truncated` baseline, which minimises exactly this function without any
-/// perturbation.
-#[must_use]
-pub fn truncated_objective(data: &Dataset) -> QuadraticForm {
-    LogisticObjective.assemble(data)
 }
 
 /// Which degree-2 approximation of the logistic loss Algorithm 2 runs on.
@@ -201,13 +188,6 @@ impl ChebyshevLogisticObjective {
     pub fn sup_error(&self) -> f64 {
         self.sup_error
     }
-
-    /// Assembles the noise-free Chebyshev-truncated objective (the
-    /// Chebyshev analogue of [`truncated_objective`]).
-    #[must_use]
-    pub fn assemble_objective(&self, data: &Dataset) -> QuadraticForm {
-        self.assemble(data)
-    }
 }
 
 impl PolynomialObjective for ChebyshevLogisticObjective {
@@ -261,10 +241,6 @@ impl PolynomialObjective for ChebyshevLogisticObjective {
 
     fn sensitivity_l2(&self, _d: usize) -> f64 {
         sensitivity_l2_for(self.a1_abs, self.a2_abs)
-    }
-
-    fn validate(&self, data: &Dataset) -> fm_data::Result<()> {
-        data.check_normalized_logistic()
     }
 
     fn validate_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()> {
@@ -340,9 +316,6 @@ impl PolynomialObjective for LogisticSurrogate {
     fn sensitivity_l2(&self, d: usize) -> f64 {
         self.inner().sensitivity_l2(d)
     }
-    fn validate(&self, data: &Dataset) -> fm_data::Result<()> {
-        self.inner().validate(data)
-    }
     fn validate_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()> {
         self.inner().validate_rows(xs, ys, d)
     }
@@ -400,6 +373,7 @@ pub type DpLogisticRegression = FamilyEstimator<Approximation>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fm_data::Dataset;
     use fm_linalg::vecops;
     use fm_poly::taylor::log1p_exp;
     use rand::SeedableRng;
@@ -424,7 +398,7 @@ mod tests {
         // Two tuples, d = 2: M = ⅛Σxxᵀ, α = ½Σx − Σyx, β = n·log2.
         let x = fm_linalg::Matrix::from_rows(&[&[0.6, 0.0], &[0.0, 0.8]]).unwrap();
         let data = Dataset::new(x, vec![1.0, 0.0]).unwrap();
-        let q = truncated_objective(&data);
+        let q = LogisticObjective.assemble(&data);
         assert!((q.beta() - 2.0 * std::f64::consts::LN_2).abs() < 1e-12);
         // α = ½(0.6, 0.8) − (0.6, 0) = (−0.3, 0.4).
         assert!(vecops::approx_eq(q.alpha(), &[-0.3, 0.4], 1e-12));
@@ -439,7 +413,7 @@ mod tests {
         // At ω = 0 both the exact and truncated objectives equal n·log 2.
         let mut r = rng();
         let data = fm_data::synth::logistic_dataset(&mut r, 200, 3, 5.0);
-        let q = truncated_objective(&data);
+        let q = LogisticObjective.assemble(&data);
         let zero = vec![0.0; 3];
         assert!((q.eval(&zero) - 200.0 * std::f64::consts::LN_2).abs() < 1e-9);
         // And the per-tuple truncation error is within the Lemma-4 constant.
@@ -636,9 +610,9 @@ mod tests {
         // grid of ω with ‖ω‖ ≤ 1 (so |xᵀω| ≤ 1 = R).
         let mut r = rng();
         let data = fm_data::synth::logistic_dataset(&mut r, 500, 2, 5.0);
-        let taylor_q = truncated_objective(&data);
+        let taylor_q = LogisticObjective.assemble(&data);
         let obj = ChebyshevLogisticObjective::new(1.0).unwrap();
-        let cheb_q = obj.assemble_objective(&data);
+        let cheb_q = obj.assemble(&data);
         let exact = |omega: &[f64]| -> f64 {
             data.tuples()
                 .map(|(x, y)| {
@@ -708,7 +682,7 @@ mod tests {
         // Figure 3 shows f̂_D close to f_D with a visible but small gap.
         let x = fm_linalg::Matrix::from_rows(&[&[-0.5], &[0.0], &[1.0]]).unwrap();
         let data = Dataset::new(x, vec![1.0, 0.0, 1.0]).unwrap();
-        let q = truncated_objective(&data);
+        let q = LogisticObjective.assemble(&data);
         for w in [-1.0, 0.0, 0.5, 1.0, 2.0] {
             let exact: f64 = data
                 .tuples()

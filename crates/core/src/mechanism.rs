@@ -165,39 +165,26 @@ pub trait PolynomialObjective: Sync {
     /// bounded through `‖x‖₂ ≤ 1` without a coordinate-sum inflation.
     fn sensitivity_l2(&self, d: usize) -> f64;
 
-    /// Validates that `data` satisfies the normalized-domain contract this
-    /// objective's sensitivity analysis assumes.
-    ///
-    /// # Errors
-    /// A [`fm_data::DataError::NotNormalized`] describing the violation.
-    fn validate(&self, data: &Dataset) -> fm_data::Result<()>;
-
-    /// Validates one streamed row-major block (`xs` is `k × d`,
-    /// `k = ys.len()`) against the same contract as
-    /// [`PolynomialObjective::validate`] — the per-block form the
-    /// streaming accumulator ([`crate::assembly::CoefficientAccumulator`])
-    /// checks as data arrives, so an out-of-core fit never needs the
-    /// dataset materialized just to validate it.
-    ///
-    /// The default materializes the block into a temporary [`Dataset`] and
-    /// delegates to `validate` — correct for any objective at the cost of
-    /// one block-sized copy. The built-in objectives override it with the
-    /// allocation-free row checks in `fm_data::dataset`. Tuple indices in
-    /// errors are block-local.
+    /// Validates one row-major block (`xs` is `k × d`, `k = ys.len()`)
+    /// against the normalized-domain contract this objective's
+    /// sensitivity analysis assumes — the one statement of that contract,
+    /// which every fit checks as its rows arrive (the whole dataset at
+    /// once for an in-memory fit, block by block for a streamed one; see
+    /// [`crate::assembly::CoefficientAccumulator`]). The built-in
+    /// objectives forward to the allocation-free row checks in
+    /// `fm_data::dataset`. Tuple indices in errors are block-local.
     ///
     /// # Errors
     /// A [`fm_data::DataError`] describing the violation.
-    fn validate_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()> {
-        if ys.is_empty() {
-            return Ok(());
-        }
-        let x = fm_linalg::Matrix::from_vec(ys.len(), d, xs.to_vec()).map_err(|_| {
-            fm_data::DataError::LengthMismatch {
-                rows: xs.len() / d.max(1),
-                labels: ys.len(),
-            }
-        })?;
-        self.validate(&Dataset::new(x, ys.to_vec())?)
+    fn validate_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()>;
+
+    /// Validates a whole dataset: [`PolynomialObjective::validate_rows`]
+    /// over its row-major feature block.
+    ///
+    /// # Errors
+    /// A [`fm_data::DataError`] describing the violation.
+    fn validate(&self, data: &Dataset) -> fm_data::Result<()> {
+        self.validate_rows(data.x().as_slice(), data.y(), data.d())
     }
 
     /// Assembles the exact (noise-free) objective `f_D(ω) = Σ_i f(t_i, ω)`
@@ -584,8 +571,8 @@ mod tests {
         fn sensitivity_l2(&self, _d: usize) -> f64 {
             2.0 * 6.0_f64.sqrt()
         }
-        fn validate(&self, data: &Dataset) -> fm_data::Result<()> {
-            data.check_normalized_linear()
+        fn validate_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()> {
+            fm_data::dataset::check_rows_normalized_linear(xs, ys, d)
         }
     }
 

@@ -58,15 +58,17 @@ impl SavedModel {
     ///
     /// # Errors
     /// [`FmError::InvalidConfig`] if any parameter is non-finite (a
-    /// non-finite model must never be shipped).
+    /// non-finite model must never be shipped) or there are no weights
+    /// (a `weights` line without values does not parse back).
     pub fn to_text(&self) -> Result<String> {
-        if !self.intercept.is_finite()
+        if self.weights.is_empty()
+            || !self.intercept.is_finite()
             || self.weights.iter().any(|w| !w.is_finite())
             || self.epsilon.is_some_and(|e| !e.is_finite())
         {
             return Err(FmError::InvalidConfig {
                 name: "model",
-                reason: "refusing to serialise non-finite parameters".to_string(),
+                reason: "refusing to serialise empty or non-finite parameters".to_string(),
             });
         }
         let mut out = String::new();
@@ -351,6 +353,13 @@ mod tests {
         assert!(SavedModel::from(&m).to_text().is_err());
         let m = LinearModel::with_intercept(vec![1.0], f64::INFINITY, None);
         assert!(SavedModel::from(&m).to_text().is_err());
+        // An empty weight vector would write a `weights` line that
+        // `from_text` refuses, so it is refused on the way out.
+        let m = LinearModel::new(Vec::new(), Some(0.5));
+        assert!(matches!(
+            SavedModel::from(&m).to_text(),
+            Err(FmError::InvalidConfig { name: "model", .. })
+        ));
     }
 
     #[test]

@@ -35,7 +35,6 @@
 //! Chebyshev surrogate (`Approximation::Chebyshev`) roughly quarters the
 //! sup-error on the same interval.
 
-use fm_data::Dataset;
 use fm_poly::chebyshev::ChebyshevQuadratic;
 use fm_poly::taylor::{identity_component, poisson_exp_component, TaylorComponent};
 use fm_poly::QuadraticForm;
@@ -157,13 +156,6 @@ impl PoissonObjective {
     pub fn y_max(&self) -> f64 {
         self.y_max
     }
-
-    /// Assembles the noise-free truncated objective (the Poisson analogue
-    /// of [`crate::logreg::truncated_objective`]).
-    #[must_use]
-    pub fn assemble_objective(&self, data: &Dataset) -> QuadraticForm {
-        self.assemble(data)
-    }
 }
 
 impl PolynomialObjective for PoissonObjective {
@@ -213,10 +205,6 @@ impl PolynomialObjective for PoissonObjective {
 
     fn sensitivity_l2(&self, _d: usize) -> f64 {
         sensitivity_l2_for(self.a1_abs, self.a2_abs, self.y_max)
-    }
-
-    fn validate(&self, data: &Dataset) -> fm_data::Result<()> {
-        data.check_normalized_counts(self.y_max)
     }
 
     fn validate_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()> {
@@ -308,6 +296,7 @@ impl DpPoissonRegression {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fm_data::Dataset;
     use fm_linalg::vecops;
     use rand::SeedableRng;
 
@@ -368,7 +357,7 @@ mod tests {
         let mut r = rng();
         let data = fm_data::synth::poisson_dataset(&mut r, 300, 3, 8.0);
         let obj = PoissonObjective::taylor(8.0).unwrap();
-        let q = obj.assemble_objective(&data);
+        let q = obj.assemble(&data);
         assert!((q.eval(&[0.0, 0.0, 0.0]) - 300.0).abs() < 1e-9);
     }
 
@@ -377,7 +366,7 @@ mod tests {
         let mut r = rng();
         let data = fm_data::synth::poisson_dataset(&mut r, 400, 2, 8.0);
         let obj = PoissonObjective::taylor(8.0).unwrap();
-        let q = obj.assemble_objective(&data);
+        let q = obj.assemble(&data);
         let omega = [0.4, -0.3];
         let exact: f64 = data
             .tuples()

@@ -224,13 +224,6 @@ impl MedianObjective {
     pub fn remainder_bound(&self) -> f64 {
         pseudo_huber_third_derivative_bound(self.gamma) / 6.0
     }
-
-    /// Assembles the noise-free truncated objective (the median analogue
-    /// of [`crate::logreg::truncated_objective`]).
-    #[must_use]
-    pub fn assemble_objective(&self, data: &Dataset) -> QuadraticForm {
-        self.assemble(data)
-    }
 }
 
 impl PolynomialObjective for MedianObjective {
@@ -263,10 +256,6 @@ impl PolynomialObjective for MedianObjective {
 
     fn sensitivity_l2(&self, _d: usize) -> f64 {
         residual_sensitivity_l2(self.rho_max, self.c1, self.c2)
-    }
-
-    fn validate(&self, data: &Dataset) -> fm_data::Result<()> {
-        data.check_normalized_linear()
     }
 
     fn validate_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()> {
@@ -372,12 +361,6 @@ impl QuantileObjective {
     pub fn remainder_bound(&self) -> f64 {
         pseudo_huber_third_derivative_bound(self.gamma) / 6.0
     }
-
-    /// Assembles the noise-free truncated objective.
-    #[must_use]
-    pub fn assemble_objective(&self, data: &Dataset) -> QuadraticForm {
-        self.assemble(data)
-    }
 }
 
 impl PolynomialObjective for QuantileObjective {
@@ -410,10 +393,6 @@ impl PolynomialObjective for QuantileObjective {
 
     fn sensitivity_l2(&self, _d: usize) -> f64 {
         residual_sensitivity_l2(self.rho_max, self.c1, self.c2)
-    }
-
-    fn validate(&self, data: &Dataset) -> fm_data::Result<()> {
-        data.check_normalized_linear()
     }
 
     fn validate_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()> {
@@ -475,12 +454,6 @@ impl HuberObjective {
     pub fn derivs(&self, u: f64) -> [f64; 3] {
         huber_derivs(u, self.delta)
     }
-
-    /// Assembles the noise-free truncated objective.
-    #[must_use]
-    pub fn assemble_objective(&self, data: &Dataset) -> QuadraticForm {
-        self.assemble(data)
-    }
 }
 
 impl PolynomialObjective for HuberObjective {
@@ -513,10 +486,6 @@ impl PolynomialObjective for HuberObjective {
 
     fn sensitivity_l2(&self, _d: usize) -> f64 {
         residual_sensitivity_l2(self.rho_max, self.c1, 1.0)
-    }
-
-    fn validate(&self, data: &Dataset) -> fm_data::Result<()> {
-        data.check_normalized_linear()
     }
 
     fn validate_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()> {
@@ -952,7 +921,7 @@ mod tests {
         let mut r = rng();
         let data = fm_data::synth::linear_dataset(&mut r, 300, 3, 0.1);
         let m = MedianObjective::new(0.25).unwrap();
-        let q = m.assemble_objective(&data);
+        let q = m.assemble(&data);
         let direct: f64 = data.y().iter().map(|&y| m.derivs(y)[0]).sum();
         assert!((q.eval(&[0.0, 0.0, 0.0]) - direct).abs() < 1e-9);
     }
@@ -972,8 +941,8 @@ mod tests {
         }
         let mut r = rng();
         let data = fm_data::synth::linear_dataset(&mut r, 500, 3, 0.1);
-        let qq = q.assemble_objective(&data);
-        let mq = m.assemble_objective(&data);
+        let qq = q.assemble(&data);
+        let mq = m.assemble(&data);
         assert_eq!(qq, mq);
         // Full estimator parity under the same seed.
         let mut r1 = rand::rngs::StdRng::seed_from_u64(91);

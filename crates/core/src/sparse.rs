@@ -302,8 +302,8 @@ mod tests {
             fn sensitivity(&self, d: usize) -> f64 {
                 QuarticObjective.sensitivity(d)
             }
-            fn validate(&self, data: &Dataset) -> fm_data::Result<()> {
-                QuarticObjective.validate(data)
+            fn validate_rows(&self, xs: &[f64], ys: &[f64], d: usize) -> fm_data::Result<()> {
+                QuarticObjective.validate_rows(xs, ys, d)
             }
         }
         impl SparseRegressionObjective for NoL2 {

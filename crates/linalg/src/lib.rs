@@ -24,10 +24,6 @@
 //! * [`TridiagonalEigen`] — Householder tridiagonalization + implicit-QL,
 //!   the `O(d³)`-total eigensolver for dimensions beyond the paper's
 //!   `d ≤ 14` regime (same API as the Jacobi engine).
-//! * [`Svd`] — one-sided Jacobi singular value decomposition; numerical
-//!   rank, condition numbers, Moore–Penrose pseudo-inverse and
-//!   minimum-norm least squares for the rank-deficient systems produced by
-//!   spectral trimming (Section 6.2) and degenerate baselines.
 //!
 //! Dimensions in this workspace are tiny (the paper's experiments top out at
 //! `d = 14`), so the implementations favour clarity and numerical robustness
@@ -56,7 +52,6 @@ mod error;
 mod lu;
 mod matrix;
 pub mod qr;
-mod svd;
 mod tridiagonal;
 pub mod vecops;
 
@@ -65,7 +60,6 @@ pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use svd::{lstsq_min_norm, Svd};
 pub use tridiagonal::TridiagonalEigen;
 
 /// Result alias for fallible linear-algebra operations.

@@ -4,7 +4,7 @@
 //! relies on: factor-reconstruct round-trips, solver correctness against
 //! residuals, orthonormality of eigenbases, and norm inequalities.
 
-use fm_linalg::{qr, vecops, Cholesky, Lu, Matrix, Svd, SymmetricEigen, TridiagonalEigen};
+use fm_linalg::{qr, vecops, Cholesky, Lu, Matrix, SymmetricEigen, TridiagonalEigen};
 use proptest::prelude::*;
 
 const DIM_RANGE: std::ops::Range<usize> = 1..7;
@@ -203,83 +203,6 @@ proptest! {
         m.rank1_update(a, &x).unwrap();
         let expected = Matrix::from_fn(4, 4, |r, c| a * x[r] * x[c]);
         prop_assert!(m.approx_eq(&expected, 1e-10));
-    }
-
-    #[test]
-    fn svd_reconstructs_any_shape(
-        (a, _) in ((1..6usize), (1..6usize)).prop_flat_map(|(r, c)| {
-            (proptest::collection::vec(finite_entry(), r * c)
-                .prop_map(move |d| Matrix::from_vec(r, c, d).unwrap()), Just(()))
-        })
-    ) {
-        let svd = Svd::new(&a).expect("non-empty finite input");
-        let tol = 1e-9 * (1.0 + a.max_abs());
-        prop_assert!(svd.reconstruct().approx_eq(&a, tol));
-    }
-
-    #[test]
-    fn svd_factors_orthonormal(m in (2..6usize).prop_flat_map(square_matrix)) {
-        let svd = Svd::new(&m).unwrap();
-        let n = m.cols();
-        // V is always fully orthogonal; U's columns for nonzero σ are
-        // orthonormal, so check UᵀU restricted to the numerical rank.
-        let vtv = svd.v().transpose().matmul(svd.v()).unwrap();
-        prop_assert!(vtv.approx_eq(&Matrix::identity(n), 1e-8));
-        let utu = svd.u().transpose().matmul(svd.u()).unwrap();
-        let r = svd.rank(None);
-        for i in 0..r {
-            for j in 0..r {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                prop_assert!((utu[(i, j)] - expect).abs() < 1e-8);
-            }
-        }
-    }
-
-    #[test]
-    fn svd_values_sorted_nonnegative(m in (1..6usize).prop_flat_map(square_matrix)) {
-        let svd = Svd::new(&m).unwrap();
-        for w in svd.singular_values().windows(2) {
-            prop_assert!(w[0] >= w[1] - 1e-12);
-        }
-        prop_assert!(svd.singular_values().iter().all(|&s| s >= 0.0));
-        // σ_max bounds the operator norm witnessed on the standard basis.
-        let smax = svd.singular_values()[0];
-        for c in 0..m.cols() {
-            prop_assert!(m.col(c).map(|v| v * v).sum::<f64>().sqrt() <= smax + 1e-8 * (1.0 + smax));
-        }
-    }
-
-    #[test]
-    fn svd_min_norm_residual_orthogonal_to_range(
-        (a, b) in (2..5usize).prop_flat_map(|n| {
-            (proptest::collection::vec(finite_entry(), (n + 2) * n), vector(n + 2))
-                .prop_map(move |(data, b)| (Matrix::from_vec(n + 2, n, data).unwrap(), b))
-        })
-    ) {
-        let x = Svd::new(&a).unwrap().solve_min_norm(&b).unwrap();
-        let r = vecops::sub(&b, &a.matvec(&x).unwrap());
-        let atr = a.matvec_transposed(&r).unwrap();
-        let scale = 1.0 + a.max_abs() * vecops::norm_inf(&r);
-        prop_assert!(vecops::norm_inf(&atr) <= 1e-6 * scale);
-    }
-
-    #[test]
-    fn svd_pinv_idempotent_projector(m in (2..5usize).prop_flat_map(square_matrix)) {
-        // P = A A⁺ must be an orthogonal projector: P² = P, Pᵀ = P.
-        let pinv = Svd::new(&m).unwrap().pseudo_inverse();
-        let p = m.matmul(&pinv).unwrap();
-        let tol = 1e-6 * (1.0 + p.max_abs());
-        prop_assert!(p.matmul(&p).unwrap().approx_eq(&p, tol));
-        prop_assert!(p.approx_eq(&p.transpose(), tol));
-    }
-
-    #[test]
-    fn svd_matches_eigen_on_spd(m in (1..6usize).prop_flat_map(spd_matrix)) {
-        // For SPD input, singular values = eigenvalues.
-        let svd = Svd::new(&m).unwrap();
-        let eig = SymmetricEigen::new(&m).unwrap();
-        let tol = 1e-7 * (1.0 + m.max_abs());
-        prop_assert!(vecops::approx_eq(svd.singular_values(), eig.values(), tol));
     }
 
     #[test]

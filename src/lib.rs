@@ -18,7 +18,7 @@
 //! | [`privacy`] | `fm-privacy` | Laplace / Gaussian / exponential mechanisms, privacy budget accounting |
 //! | [`poly`] | `fm-poly` | multivariate polynomials, quadratic forms, Taylor & Chebyshev machinery |
 //! | [`optim`] | `fm-optim` | quadratic minimiser, gradient descent, Newton's method |
-//! | [`linalg`] | `fm-linalg` | dense matrices, LU/Cholesky/QR/SVD, Jacobi eigendecomposition, batched Gram kernels |
+//! | [`linalg`] | `fm-linalg` | dense matrices, LU/Cholesky/QR, Jacobi and tridiagonal eigendecomposition, batched Gram kernels |
 //!
 //! ## Batched coefficient assembly (the hot path)
 //!
@@ -37,8 +37,9 @@
 //!    ([`linalg::vecops::gemv_t_acc`]) and a pack-and-dot `XᵀX`
 //!    ([`linalg::Matrix::syrk_acc`]) — instead of per-tuple rank-1
 //!    updates;
-//! 3. the partials are merged by a deterministic pairwise tree reduction
-//!    ([`poly::QuadraticForm::merge`]) in chunk order.
+//! 3. the partials are merged in chunk order by a deterministic pairwise
+//!    merge tree ([`poly::QuadraticForm::merge`]), the one the streaming
+//!    accumulator builds.
 //!
 //! ### The `parallel` feature
 //!

@@ -240,8 +240,13 @@ fn default_columnar_hook_matches_accumulate_batch_bit_for_bit() {
         fn sensitivity_l2(&self, d: usize) -> f64 {
             LinearObjective.sensitivity_l2(d)
         }
-        fn validate(&self, data: &Dataset) -> functional_mechanism::data::Result<()> {
-            data.check_normalized_linear()
+        fn validate_rows(
+            &self,
+            xs: &[f64],
+            ys: &[f64],
+            d: usize,
+        ) -> functional_mechanism::data::Result<()> {
+            LinearObjective.validate_rows(xs, ys, d)
         }
     }
     let data = linear_data(59);
@@ -278,8 +283,13 @@ fn default_batch_hook_delegates_to_per_tuple() {
         fn sensitivity_l2(&self, d: usize) -> f64 {
             LinearObjective.sensitivity_l2(d)
         }
-        fn validate(&self, data: &Dataset) -> functional_mechanism::data::Result<()> {
-            data.check_normalized_linear()
+        fn validate_rows(
+            &self,
+            xs: &[f64],
+            ys: &[f64],
+            d: usize,
+        ) -> functional_mechanism::data::Result<()> {
+            LinearObjective.validate_rows(xs, ys, d)
         }
     }
     let data = linear_data(23);

@@ -7,10 +7,10 @@
 
 use functional_mechanism::core::assembly::{assemble_with_chunk_rows, CoefficientAccumulator};
 use functional_mechanism::core::estimator::{FitConfig, FmEstimator};
-use functional_mechanism::core::generic::QuarticObjective;
+use functional_mechanism::core::generic::{GeneralObjective, QuarticObjective};
 use functional_mechanism::core::linreg::LinearObjective;
 use functional_mechanism::core::sparse::SparseFmEstimator;
-use functional_mechanism::core::{FmError, Objective, Strategy};
+use functional_mechanism::core::{FmError, Strategy};
 use functional_mechanism::data::stream::{
     BlockVisitor, InMemorySource, RowBlock, RowSource, ShardedSource, TakeRows,
 };
@@ -211,7 +211,7 @@ fn quartic_windows_match_chunk_sized_reads_and_fit() {
     let mut r = StdRng::seed_from_u64(901);
     let data = synth::linear_dataset(&mut r, 4_095 + 6_000, d, 0.05);
     let parts = cut(&data, &[4_095, 6_000]);
-    let clean = Objective::<Polynomial>::assemble_data(&QuarticObjective, &data);
+    let clean = QuarticObjective.assemble(&data);
     let mut windowed: CoefficientAccumulator<'_, _, Polynomial> =
         CoefficientAccumulator::new(&QuarticObjective, d);
     windowed.absorb(&mut sharded(&parts)).unwrap();
