@@ -27,13 +27,15 @@
 //! perturb coefficients at the ~1e-15 relative level; the chunk size is
 //! therefore fixed by default and an explicit parameter everywhere else.)
 //!
-//! The streaming side — [`CoefficientAccumulator`] and
-//! [`assemble_shards`] — forms the same chunk grid and merge tree
-//! incrementally, once for both coefficient types: it is generic over
-//! [`Coefficients`] and drives the objective through [`Objective`]. Every
-//! fit runs it, in memory too: `FmEstimator::fit` hands its dataset over
-//! whole ([`RowSource::take_dataset`]). [`assemble`] serves callers that
-//! want a dataset's clean sum without a fit.
+//! The streaming side — [`CoefficientAccumulator`] — forms the same
+//! chunk grid and merge tree incrementally, once for both coefficient
+//! types: it is generic over [`Coefficients`] and drives the objective
+//! through [`Objective`]. Every fit runs it, in memory too:
+//! `FmEstimator::fit` hands its dataset over whole
+//! ([`RowSource::take_dataset`]), and a sharded fit streams the shards'
+//! union through one accumulator, so a shard split never moves a chunk
+//! boundary. [`assemble`] serves callers that want a dataset's clean sum
+//! without a fit.
 
 use fm_data::stream::{RowBlock, RowSource};
 use fm_data::{DataError, Dataset};
@@ -627,11 +629,9 @@ impl<C: Coefficients> StreamCore<C> {
                 let n = data.n();
                 let chunk_rows = self.stage.chunk_rows();
                 let ys = data.y();
-                let xt = if objective.columnar() {
-                    data.columnar_on_reuse()
-                } else {
-                    None
-                };
+                let columnar = objective
+                    .columnar()
+                    .and_then(|kernel| Some((kernel, data.columnar_on_reuse()?)));
                 let xs = data.x().as_slice();
                 // Unless these are the last rows, only the *full* chunks
                 // may enter the counter here: a later absorb must be able
@@ -647,8 +647,8 @@ impl<C: Coefficients> StreamCore<C> {
                 for part in map_in_order((0..mapped).collect(), |c| {
                     let (lo, hi) = (c * chunk_rows, ((c + 1) * chunk_rows).min(n));
                     let mut part = C::zero(d);
-                    match xt {
-                        Some(xt) => objective.accumulate_columnar(xt, ys, lo, hi, &mut part),
+                    match columnar {
+                        Some((kernel, xt)) => kernel(objective, xt, ys, lo, hi, &mut part),
                         None => {
                             objective.accumulate(&xs[lo * d..hi * d], &ys[lo..hi], d, &mut part)
                         }
@@ -850,64 +850,6 @@ pub(crate) fn assemble_chunks<C: Coefficients>(
         part
     };
     map_reduce_chunks(data.n(), chunk_rows, map, C::merge).unwrap_or_else(|| C::zero(d))
-}
-
-/// Assembles each shard's exact objective **independently** — one
-/// [`CoefficientAccumulator`] per shard, run concurrently under the
-/// `parallel` cargo feature — returning `(rows, coefficients)` per shard,
-/// in shard order (`None` coefficients for an empty shard).
-///
-/// Each shard is validated and re-chunked from its own first row, so the
-/// per-shard results are exactly what a serial
-/// `CoefficientAccumulator::absorb` + `finish` per shard produces — the
-/// parallel and sequential builds are **bit-identical** by construction
-/// (per-shard merge trees touch only their own chunks; nothing crosses a
-/// shard boundary until the caller merges the returned partials, in
-/// whatever order it chooses — shard order, for the built-in callers).
-///
-/// Shards may have different dimensionalities (each is its own
-/// accumulation); callers that merge the partials enforce equal dims
-/// themselves.
-///
-/// # Errors
-/// The first shard error in shard order — [`FmError::Data`] for contract
-/// violations or transport errors (under `parallel` every shard is still
-/// assembled; error selection stays deterministic).
-pub fn assemble_shards<O, C, S>(
-    objective: &O,
-    shards: &mut [S],
-    chunk_rows: usize,
-) -> Result<Vec<(usize, Option<C>)>>
-where
-    O: Objective<C> + ?Sized,
-    C: Coefficients,
-    S: RowSource + Send,
-{
-    map_in_order(shards.iter_mut().collect(), |shard: &mut S| {
-        let mut acc = CoefficientAccumulator::with_chunk_rows(objective, shard.dim(), chunk_rows);
-        let rows = acc.absorb(shard)?;
-        Ok((rows, acc.finish()))
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Refuses shard lists whose members disagree on dimensionality — the
-/// shared pre-check of every caller that merges per-shard partials.
-pub(crate) fn check_shard_dims<S: RowSource>(shards: &[S]) -> Result<()> {
-    if let Some(first) = shards.first() {
-        let d = first.dim();
-        if let Some(bad) = shards.iter().position(|s| s.dim() != d) {
-            return Err(FmError::Data(DataError::InvalidParameter {
-                name: "shards",
-                reason: format!(
-                    "shard {bad} has dimensionality {}, shard 0 has {d}",
-                    shards[bad].dim()
-                ),
-            }));
-        }
-    }
-    Ok(())
 }
 
 /// The pre-batching reference path: one [`PolynomialObjective::accumulate_tuple`]

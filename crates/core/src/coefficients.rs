@@ -178,22 +178,14 @@ pub trait Objective<C: Coefficients>: Sync {
     /// Accumulates one row chunk into `into`.
     fn accumulate(&self, xs: &[f64], ys: &[f64], d: usize, into: &mut C);
 
-    /// Whether [`Objective::accumulate_columnar`] has real column-major
-    /// kernels, so an in-memory dataset's cached transpose is worth
-    /// reading.
-    fn columnar(&self) -> bool {
-        false
-    }
-
-    /// Accumulates rows `[lo, hi)` read from `xt`, the `d × n` transpose
-    /// of the feature block, bit-identically to [`Objective::accumulate`]
-    /// over the same rows. The default copies the rows back out.
-    fn accumulate_columnar(&self, xt: &Matrix, ys: &[f64], lo: usize, hi: usize, into: &mut C) {
-        let d = xt.rows();
-        let rows: Vec<f64> = (lo..hi)
-            .flat_map(|i| (0..d).map(move |j| xt[(j, i)]))
-            .collect();
-        self.accumulate(&rows, &ys[lo..hi], d, into);
+    /// The column-major kernel, when the objective has one (so an
+    /// in-memory dataset's cached transpose is worth reading):
+    /// `kernel(self, xt, ys, lo, hi, into)` accumulates rows `[lo, hi)`
+    /// read from `xt`, the `d × n` transpose of the feature block,
+    /// bit-identically to [`Objective::accumulate`] over the same rows.
+    #[allow(clippy::type_complexity)]
+    fn columnar(&self) -> Option<fn(&Self, &Matrix, &[f64], usize, usize, &mut C)> {
+        None
     }
 
     /// Algorithm 1's noise step over assembled clean coefficients.
@@ -241,19 +233,9 @@ impl<O: RegressionObjective> Objective<QuadraticForm> for O {
         self.accumulate_batch(xs, ys, d, into);
     }
 
-    fn columnar(&self) -> bool {
+    fn columnar(&self) -> Option<fn(&Self, &Matrix, &[f64], usize, usize, &mut QuadraticForm)> {
         self.supports_columnar()
-    }
-
-    fn accumulate_columnar(
-        &self,
-        xt: &Matrix,
-        ys: &[f64],
-        lo: usize,
-        hi: usize,
-        into: &mut QuadraticForm,
-    ) {
-        self.accumulate_batch_columnar(xt, ys, lo, hi, into);
+            .then_some(Self::accumulate_batch_columnar)
     }
 
     fn perturb(

@@ -33,7 +33,7 @@ use std::marker::PhantomData;
 
 use rand::{Rng, RngCore};
 
-use fm_data::stream::{InMemorySource, InterceptAugmentSource, RowBlock, RowSource};
+use fm_data::stream::{InMemorySource, InterceptAugmentSource, RowBlock, RowSource, ShardedSource};
 use fm_data::{DataError, Dataset};
 use fm_poly::QuadraticForm;
 
@@ -201,28 +201,23 @@ pub trait DpEstimator {
     /// ride the sharded ingestion path the harness drives
     /// ([`crate::session::PrivacySession::fit_sharded_dyn`]).
     ///
-    /// The default validates the shard family (non-empty, equal
-    /// dimensionalities), drains the shards **in order** into one
-    /// temporary `Dataset`, and delegates to [`DpEstimator::fit`] —
-    /// always correct, with the privacy cost of a single fit. The
-    /// Functional-Mechanism estimators override it with true per-shard
-    /// coefficient assembly (bounded memory, concurrent under the
-    /// `parallel` feature); for them the trait call is exactly the
-    /// inherent `fit_sharded`.
+    /// It is [`DpEstimator::fit_stream`] over a [`ShardedSource`] of the
+    /// shards, in order — one fit with the privacy cost of one. The
+    /// Functional-Mechanism estimators stream the union through one
+    /// accumulator, so they release the bits of `fit` on the concatenated
+    /// rows; the others materialize the union and fit it.
     ///
     /// # Errors
-    /// [`FmError::Data`] for an empty shard list, mismatched shard
-    /// dimensionalities, or transport errors; otherwise as
-    /// [`DpEstimator::fit`].
+    /// [`FmError::Data`] for an empty shard list or mismatched shard
+    /// dimensionalities; otherwise as [`DpEstimator::fit_stream`] over
+    /// that source.
     fn fit_sharded(
         &self,
         shards: &mut [&mut (dyn RowSource + Send)],
         rng: &mut dyn RngCore,
     ) -> Result<Self::Model> {
         let views: Vec<&mut (dyn RowSource + Send)> = shards.iter_mut().map(|s| &mut **s).collect();
-        let mut union = fm_data::stream::ShardedSource::new(views).map_err(FmError::Data)?;
-        let data = fm_data::stream::materialize(&mut union).map_err(FmError::Data)?;
-        self.fit(&data, rng)
+        self.fit_stream(&mut ShardedSource::new(views).map_err(FmError::Data)?, rng)
     }
 }
 
@@ -418,54 +413,33 @@ impl<O: Objective<C>, C: Coefficients> FmEstimator<O, C> {
         })
     }
 
-    /// Fits **one** model over the union of disjoint shards, with the
-    /// shards assembled **concurrently** under the `parallel` cargo
-    /// feature: each shard runs its own streaming accumulator (validated
-    /// and re-chunked from the shard's first row), the per-shard
-    /// coefficient partials are merged in shard order, and the
-    /// mechanism's noise is drawn once over the merged objective — the
-    /// privacy cost is the configured ε once, exactly as for
-    /// [`FmEstimator::fit_stream`] over a
-    /// [`fm_data::stream::ShardedSource`] of the same shards.
-    ///
-    /// Determinism: the released coefficients are **bit-identical between
-    /// the serial and parallel builds** — per-shard merge trees touch
-    /// only their own chunks and the final shard-order merge is fixed, so
-    /// worker scheduling can never regroup a floating-point sum
-    /// (`tests/streaming_equivalence.rs` pins this). Relative to one
-    /// accumulator over the shard *concatenation* (`fit_stream`), the
-    /// per-shard chunk grids regroup sums exactly as a different
-    /// `chunk_rows` would (~1e-15 relative on the clean coefficients);
-    /// with a single shard the two paths are bit-identical.
+    /// Fits **one** model over the union of disjoint shards: this is
+    /// [`FmEstimator::fit_stream`] over a [`ShardedSource`] of the shards,
+    /// in order. One accumulator runs over the concatenated rows, so the
+    /// release is bit-identical to [`FmEstimator::fit`] on the
+    /// concatenation at the same seed, and the privacy cost is the
+    /// configured ε once.
     ///
     /// # Errors
-    /// * [`FmError::Data`] for an empty shard list, mismatched shard
-    ///   dimensionalities, contract violations, or transport errors.
+    /// * [`FmError::Data`] for an empty shard list or mismatched shard
+    ///   dimensionalities; a contract violation or transport error in
+    ///   shard `k` comes back as [`DataError::InShard`] labelled
+    ///   `shard-k`.
     /// * Otherwise as [`FmEstimator::fit`].
     pub fn fit_sharded<S>(&self, shards: &mut [S], rng: &mut impl Rng) -> Result<O::Model>
     where
         S: RowSource + Send,
     {
-        self.check_noise()?;
-        crate::assembly::check_shard_dims(shards)?;
-        let clean = self
-            .assemble_shards_clean(shards)?
-            .into_iter()
-            .filter_map(|(_, part)| part)
-            .reduce(|mut total, part| {
-                total.merge(part);
-                total
-            })
-            .ok_or(FmError::Data(DataError::EmptyDataset))?;
-        self.release_clean(&clean, rng)
+        self.fit_stream(
+            &mut ShardedSource::new(shards.iter_mut().collect()).map_err(FmError::Data)?,
+            rng,
+        )
     }
 
     /// Runs the mechanism over already-assembled (and already-validated)
     /// clean coefficients and wraps the released weights — the noise-
     /// drawing half shared by every entry point: [`FmEstimator::fit`],
-    /// [`PartialFit::finalize`], the session's parallel disjoint-shard
-    /// fitting (where assembly runs concurrently but every release draws
-    /// from the shared rng in shard order), and a federated coordinator's
+    /// [`PartialFit::finalize`] and a federated coordinator's
     /// central-noise release over merged client partials.
     ///
     /// Under [`Strategy::Resample`] this is the Lemma-5 loop: each attempt
@@ -525,28 +499,6 @@ impl<O: Objective<C>, C: Coefficients> FmEstimator<O, C> {
         Err(FmError::ResampleExhausted {
             attempts: max_attempts,
         })
-    }
-
-    /// Per-shard clean coefficient assembly at the estimator's working
-    /// dimensionality (footnote-2 intercept augmentation applied per
-    /// shard when configured), concurrent under `parallel` — the shared
-    /// data pass behind [`FmEstimator::fit_sharded`] and
-    /// [`crate::session::PrivacySession::fit_disjoint_shards_parallel`].
-    pub(crate) fn assemble_shards_clean<S>(
-        &self,
-        shards: &mut [S],
-    ) -> Result<Vec<(usize, Option<C>)>>
-    where
-        S: RowSource + Send,
-    {
-        let chunk_rows = crate::assembly::DEFAULT_CHUNK_ROWS;
-        if self.config.fit_intercept {
-            let mut aug: Vec<InterceptAugmentSource<&mut S>> =
-                shards.iter_mut().map(InterceptAugmentSource::new).collect();
-            crate::assembly::assemble_shards(&self.objective, &mut aug, chunk_rows)
-        } else {
-            crate::assembly::assemble_shards(&self.objective, shards, chunk_rows)
-        }
     }
 
     /// Fits the *non-private* minimiser of the same (possibly truncated)
@@ -799,14 +751,6 @@ impl<O: Objective<C>, C: Coefficients> DpEstimator for FmEstimator<O, C> {
         FmEstimator::fit_stream(self, source, &mut rng)
     }
 
-    fn fit_sharded(
-        &self,
-        shards: &mut [&mut (dyn RowSource + Send)],
-        mut rng: &mut dyn RngCore,
-    ) -> Result<O::Model> {
-        FmEstimator::fit_sharded(self, shards, &mut rng)
-    }
-
     fn epsilon(&self) -> Option<f64> {
         Some(self.config.epsilon)
     }
@@ -907,8 +851,8 @@ impl<F: Family> FamilyEstimator<F> {
         self.estimator()?.fit_stream(source, rng)
     }
 
-    /// Fits one model over the union of disjoint shards with per-shard
-    /// assembly — see [`FmEstimator::fit_sharded`].
+    /// Fits one model over the union of disjoint shards — see
+    /// [`FmEstimator::fit_sharded`].
     ///
     /// # Errors
     /// As [`FmEstimator::fit_sharded`], plus [`FmError::InvalidConfig`]
@@ -947,14 +891,6 @@ impl<F: Family> DpEstimator for FamilyEstimator<F> {
         mut rng: &mut dyn RngCore,
     ) -> Result<Self::Model> {
         FamilyEstimator::fit_stream(self, source, &mut rng)
-    }
-
-    fn fit_sharded(
-        &self,
-        shards: &mut [&mut (dyn RowSource + Send)],
-        mut rng: &mut dyn RngCore,
-    ) -> Result<Self::Model> {
-        FamilyEstimator::fit_sharded(self, shards, &mut rng)
     }
 
     fn epsilon(&self) -> Option<f64> {

@@ -267,60 +267,13 @@ impl PrivacySession {
         Ok(models)
     }
 
-    /// [`PrivacySession::fit_disjoint_shards`] with the **assembly phase
-    /// parallelised** for Functional-Mechanism estimators: every shard's
-    /// clean coefficients are accumulated concurrently under the
-    /// `parallel` cargo feature (one streaming accumulator per shard —
-    /// assembly consumes no randomness), then the per-shard releases draw
-    /// their noise serially in shard order from `rng`. The released
-    /// models are therefore **bit-identical** to the serial
-    /// [`PrivacySession::fit_disjoint_shards`] at the same seed, in both
-    /// builds (`tests/streaming_equivalence.rs` pins this).
-    ///
-    /// Accounting is identical too: one parallel-composition scope,
-    /// every shard debited under its auto-generated label, one
-    /// `(max ε, max δ)` release. The only behavioural difference is
-    /// timing — all shards are debited *before* any data is touched, so
-    /// an over-budget line-up is refused up front instead of between
-    /// shard fits.
-    ///
-    /// # Errors
-    /// As [`PrivacySession::fit_disjoint_shards`].
-    pub fn fit_disjoint_shards_parallel<O, S, R>(
-        &mut self,
-        estimator: &FmEstimator<O>,
-        shards: &mut [S],
-        rng: &mut R,
-    ) -> Result<Vec<O::Model>>
-    where
-        O: RegressionObjective,
-        S: RowSource + Send,
-        R: Rng,
-    {
-        let mut scope = self.parallel_fits();
-        for i in 0..shards.len() {
-            scope.admit(&format!("shard-{i}"), estimator)?;
-        }
-        let parts = estimator.assemble_shards_clean(shards)?;
-        let mut models = Vec::with_capacity(parts.len());
-        for (rows, clean) in parts {
-            let clean = clean
-                .filter(|_| rows > 0)
-                .ok_or(FmError::Data(fm_data::DataError::EmptyDataset))?;
-            models.push(estimator.release_clean(&clean, rng)?);
-        }
-        scope.finish();
-        Ok(models)
-    }
-
     /// Fits **one** model over the union of disjoint shards through
-    /// [`FmEstimator::fit_sharded`] — shards assembled concurrently under
-    /// the `parallel` cargo feature — debiting the estimator's (ε, δ)
-    /// once. The union is a single release, so this is ordinary
-    /// sequential accounting (no parallel-composition scope involved);
-    /// use [`PrivacySession::fit_disjoint_shards`] /
-    /// [`PrivacySession::fit_disjoint_shards_parallel`] when each shard
-    /// should get its *own* model at `max ε` total.
+    /// [`FmEstimator::fit_sharded`] — the bits of `fit` on the
+    /// concatenated rows — debiting the estimator's (ε, δ) once. The
+    /// union is a single release, so this is ordinary sequential
+    /// accounting (no parallel-composition scope involved); use
+    /// [`PrivacySession::fit_disjoint_shards`] when each shard should get
+    /// its *own* model at `max ε` total.
     ///
     /// # Errors
     /// As [`PrivacySession::fit`], plus shard/transport errors from
@@ -343,11 +296,11 @@ impl PrivacySession {
     /// [`PrivacySession::fit_sharded`] for **any** [`DpEstimator`] —
     /// baselines included — through the trait-level
     /// [`DpEstimator::fit_sharded`] hook: one model over the shard union,
-    /// debited once. FM estimators take their native per-shard assembly
-    /// path (the trait override delegates to the inherent
-    /// [`FmEstimator::fit_sharded`]); estimators without a streaming
-    /// pipeline materialize the union and fit — same release either way,
-    /// so a mixed line-up shares this one call site.
+    /// debited once. FM estimators stream the union through one
+    /// accumulator (the release of [`FmEstimator::fit_sharded`]);
+    /// estimators without a streaming pipeline materialize the union and
+    /// fit — same release either way, so a mixed line-up shares this one
+    /// call site.
     ///
     /// # Errors
     /// As [`PrivacySession::fit_sharded`].

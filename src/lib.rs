@@ -120,11 +120,12 @@
 //! harness) assembles at the batched kernels' rate — no per-block
 //! allocation or copy anywhere (`BENCH_assembly.json`, run `pr5-…`).
 //! With `--features parallel`, `data::stream::PrefetchSource` overlaps
-//! CSV parsing with accumulation on a second thread, and
-//! `FmEstimator::fit_sharded` /
-//! `PrivacySession::fit_disjoint_shards_parallel` assemble disjoint
-//! shards concurrently — with released models bit-identical to the
-//! serial build in every case.
+//! CSV parsing with accumulation on a second thread, and a zero-copy
+//! source (an in-memory dataset, or a `ShardedSource` of them) maps the
+//! chunks of each window across cores — with released models
+//! bit-identical to the serial build in every case. `fit_sharded` is
+//! `fit_stream` over a `ShardedSource`, so a union of shards releases
+//! the bits of `fit` on the concatenated rows.
 //!
 //! ## Quickstart
 //!

@@ -10,7 +10,6 @@
 //! re-chunking + a merge tree provably equal to the in-memory reduction);
 //! this suite is the machine check that no refactor silently breaks it.
 
-use functional_mechanism::core::assembly::{assemble_shards, CoefficientAccumulator};
 use functional_mechanism::core::estimator::{
     DpEstimator, Family, FamilyEstimator, FitConfig, FmEstimator, RegressionObjective,
 };
@@ -21,11 +20,11 @@ use functional_mechanism::core::poisson::DpPoissonRegression;
 use functional_mechanism::core::robust::{DpMedianRegression, DpQuantileRegression};
 use functional_mechanism::core::session::PrivacySession;
 use functional_mechanism::core::sparse::SparseFmEstimator;
-use functional_mechanism::core::Strategy;
+use functional_mechanism::core::{FmError, Strategy};
 use functional_mechanism::data::stream::{
     BlockVisitor, CsvStreamSource, InMemorySource, RowBlock, RowSource, ShardedSource,
 };
-use functional_mechanism::data::{synth, Dataset};
+use functional_mechanism::data::{synth, DataError, Dataset};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -379,38 +378,6 @@ fn owned_borrowed_and_handoff_transports_release_identical_bits() {
 }
 
 #[test]
-fn sharded_assembly_matches_per_shard_serial_reference() {
-    // `assemble_shards` (concurrent under the `parallel` feature) must
-    // equal one serial CoefficientAccumulator per shard, exactly — the
-    // reference is feature-independent, so running this suite ± parallel
-    // pins serial ≡ parallel bit-identity of the shard partials.
-    let mut r = StdRng::seed_from_u64(4_242);
-    let data = synth::linear_dataset(&mut r, 3_000, 3, 0.1);
-    let idx: Vec<usize> = (0..data.n()).collect();
-    let parts = [
-        data.subset(&idx[..1_000]).unwrap(),
-        data.subset(&idx[1_000..1_024]).unwrap(), // deliberately ragged
-        data.subset(&idx[1_024..]).unwrap(),
-    ];
-    for chunk_rows in [64usize, 4096] {
-        let mut shards: Vec<InMemorySource> = parts.iter().map(InMemorySource::new).collect();
-        let got = assemble_shards(&LinearObjective, &mut shards, chunk_rows).unwrap();
-        assert_eq!(got.len(), parts.len());
-        for (shard, (rows, q)) in parts.iter().zip(&got) {
-            assert_eq!(*rows, shard.n());
-            // Serial reference over jagged blocks: the transport must not
-            // matter, only the shard's rows and the chunk grid.
-            let mut acc =
-                CoefficientAccumulator::with_chunk_rows(&LinearObjective, shard.d(), chunk_rows);
-            acc.absorb(&mut JaggedSource::new(shard, 0, shard.n(), 99))
-                .unwrap();
-            let reference = acc.finish().unwrap();
-            assert_eq!(q.as_ref(), Some(&reference), "chunk_rows={chunk_rows}");
-        }
-    }
-}
-
-#[test]
 fn dataset_handoff_preserves_continuation_chunking_across_shards() {
     // Regression pin: a mid-chunk shard split absorbed through the
     // whole-dataset handoff (`InMemorySource` per shard) must keep the
@@ -477,56 +444,207 @@ fn fit_sharded_is_transport_invariant_and_single_shard_matches_fit() {
 }
 
 #[test]
-fn session_parallel_disjoint_shards_match_the_serial_path_bitwise() {
-    // The flagship parallel-shard pin: fit_disjoint_shards_parallel
-    // (concurrent assembly, serial releases) must release exactly the
-    // models of the serial fit_disjoint_shards at the same seed — in both
-    // builds — and keep the same parallel-composition accounting.
+fn session_disjoint_shards_release_each_shard_fit_in_shard_order() {
+    // fit_disjoint_shards releases, for each shard i, exactly
+    // `est.fit(&part_i)`, the noise drawn in shard order from one RNG,
+    // and the parallel-composition scope debits what one fit costs.
     let mut r = StdRng::seed_from_u64(606);
     let data = synth::linear_dataset(&mut r, 3_000, 2, 0.1);
-    let idx: Vec<usize> = (0..data.n()).collect();
-    let parts = [
-        data.subset(&idx[..1_300]).unwrap(),
-        data.subset(&idx[1_300..2_000]).unwrap(),
-        data.subset(&idx[2_000..]).unwrap(),
-    ];
+    let parts = cut(&data, &[1_300, 2_000]);
     let est = DpLinearRegression::builder().epsilon(0.4).build();
 
-    let mut serial_session = PrivacySession::with_budget(1.0).unwrap();
-    let mut shards: Vec<InMemorySource> = parts.iter().map(InMemorySource::new).collect();
+    let mut session = PrivacySession::with_budget(1.0).unwrap();
+    let mut shards = in_memory(&parts);
     let mut rng = StdRng::seed_from_u64(9);
-    let serial = serial_session
+    let models = session
         .fit_disjoint_shards(&est, &mut shards, &mut rng)
         .unwrap();
 
-    let mut parallel_session = PrivacySession::with_budget(1.0).unwrap();
-    let mut shards: Vec<InMemorySource> = parts.iter().map(InMemorySource::new).collect();
     let mut rng = StdRng::seed_from_u64(9);
-    let parallel = parallel_session
-        .fit_disjoint_shards_parallel(&est, &mut shards, &mut rng)
-        .unwrap();
+    let reference: Vec<_> = parts
+        .iter()
+        .map(|p| est.fit(p, &mut rng).unwrap())
+        .collect();
+    assert_eq!(models, reference, "released shard models drifted");
 
-    assert_eq!(serial, parallel, "released shard models drifted");
-    assert_eq!(serial_session.num_fits(), parallel_session.num_fits());
-    assert_eq!(
-        serial_session.spent_epsilon(),
-        parallel_session.spent_epsilon()
-    );
-    assert_eq!(
-        serial_session.remaining_epsilon(),
-        parallel_session.remaining_epsilon()
-    );
+    // k disjoint shards at ε each cost exactly one ε-fit.
+    let mut one_fit = PrivacySession::with_budget(1.0).unwrap();
+    one_fit.fit(&est, &data, &mut rng).unwrap();
+    assert_eq!(session.num_fits(), one_fit.num_fits());
+    assert_eq!(session.spent_epsilon(), one_fit.spent_epsilon());
+    assert_eq!(session.remaining_epsilon(), one_fit.remaining_epsilon());
 
     // The single-model union entry point debits once and is transport-
     // deterministic.
     let mut session = PrivacySession::with_budget(1.0).unwrap();
-    let mut shards: Vec<InMemorySource> = parts.iter().map(InMemorySource::new).collect();
+    let mut shards = in_memory(&parts);
     let mut rng = StdRng::seed_from_u64(9);
     let union = session.fit_sharded(&est, &mut shards, &mut rng).unwrap();
     assert_eq!(session.num_fits(), 1);
-    let mut shards: Vec<InMemorySource> = parts.iter().map(InMemorySource::new).collect();
+    let mut shards = in_memory(&parts);
     let mut rng = StdRng::seed_from_u64(9);
     assert_eq!(union, est.fit_sharded(&mut shards, &mut rng).unwrap());
+}
+
+/// `data` cut into consecutive shards at the row indices `cuts`.
+fn cut(data: &Dataset, cuts: &[usize]) -> Vec<Dataset> {
+    let idx: Vec<usize> = (0..data.n()).collect();
+    let bounds: Vec<usize> = std::iter::once(0)
+        .chain(cuts.iter().copied())
+        .chain(std::iter::once(data.n()))
+        .collect();
+    bounds
+        .windows(2)
+        .map(|w| data.subset(&idx[w[0]..w[1]]).unwrap())
+        .collect()
+}
+
+/// One in-memory source per shard.
+fn in_memory(parts: &[Dataset]) -> Vec<InMemorySource<'_>> {
+    parts.iter().map(InMemorySource::new).collect()
+}
+
+/// Runs `f` over `parts` as dyn in-memory shards.
+fn with_dyn_shards<R>(
+    parts: &[Dataset],
+    f: impl FnOnce(&mut [&mut (dyn RowSource + Send)]) -> R,
+) -> R {
+    let mut sources = in_memory(parts);
+    let mut shards: Vec<&mut (dyn RowSource + Send)> = sources
+        .iter_mut()
+        .map(|s| s as &mut (dyn RowSource + Send))
+        .collect();
+    f(&mut shards)
+}
+
+/// The trait-level `DpEstimator::fit_sharded` over `parts` as dyn
+/// in-memory shards, at `seed`.
+fn fit_dyn_shards<E: DpEstimator + ?Sized>(
+    est: &E,
+    parts: &[Dataset],
+    seed: u64,
+) -> Result<E::Model, FmError> {
+    with_dyn_shards(parts, |shards| {
+        DpEstimator::fit_sharded(est, shards, &mut StdRng::seed_from_u64(seed))
+    })
+}
+
+#[test]
+fn fit_sharded_releases_the_bits_of_fit_on_the_concatenation() {
+    // Algorithm 1 reads the data through one sum, so every union entry
+    // point releases exactly what `fit` releases on the concatenated
+    // rows. The cuts leave a shard shorter than a chunk, end shards on
+    // the 4,096-row chunk boundaries and split others mid-chunk.
+    let mut r = StdRng::seed_from_u64(21_021);
+    let data = synth::linear_dataset(&mut r, 11_000, 3, 0.1);
+    let logistic = synth::logistic_dataset(&mut r, 11_000, 3, 8.0);
+    let quartic_data = synth::linear_dataset(&mut r, 9_000, 2, 0.05);
+    for cuts in [[1_000, 4_096, 6_000], [100, 8_192, 10_999]] {
+        let parts = cut(&data, &cuts);
+        let logistic_parts = cut(&logistic, &cuts);
+        for intercept in [false, true] {
+            let what = format!("cuts={cuts:?} intercept={intercept}");
+            let config = FitConfig::new().epsilon(0.5).fit_intercept(intercept);
+            let est = FmEstimator::new(LinearObjective, config);
+            let whole = est.fit(&data, &mut StdRng::seed_from_u64(3)).unwrap();
+            let mut rng = StdRng::seed_from_u64(3);
+            let sharded = est.fit_sharded(&mut in_memory(&parts), &mut rng);
+            assert_eq!(whole, sharded.unwrap(), "FmEstimator {what}");
+            assert_eq!(
+                whole,
+                fit_dyn_shards(&est, &parts, 3).unwrap(),
+                "dyn {what}"
+            );
+
+            // Each session entry point debits once.
+            let mut session = PrivacySession::with_budget(2.0).unwrap();
+            let mut rng = StdRng::seed_from_u64(3);
+            let union = session.fit_sharded(&est, &mut in_memory(&parts), &mut rng);
+            assert_eq!(whole, union.unwrap(), "session {what}");
+            assert_eq!(session.num_fits(), 1);
+            let mut rng = StdRng::seed_from_u64(3);
+            let union = with_dyn_shards(&parts, |shards| {
+                session.fit_sharded_dyn(&est, shards, &mut rng)
+            });
+            assert_eq!(whole, union.unwrap(), "session dyn {what}");
+            assert_eq!(session.num_fits(), 2);
+
+            let taylor = DpLogisticRegression::builder()
+                .epsilon(0.5)
+                .fit_intercept(intercept)
+                .build();
+            let whole = taylor
+                .fit(&logistic, &mut StdRng::seed_from_u64(4))
+                .unwrap();
+            let mut rng = StdRng::seed_from_u64(4);
+            let sharded = taylor.fit_sharded(&mut in_memory(&logistic_parts), &mut rng);
+            assert_eq!(whole, sharded.unwrap(), "logistic {what}");
+            let via_trait = fit_dyn_shards(&taylor, &logistic_parts, 4).unwrap();
+            assert_eq!(whole, via_trait, "logistic dyn {what}");
+        }
+
+        // The quartic release may legitimately fail at this size; the
+        // union must then fail with it.
+        let parts = cut(&quartic_data, &cuts[..2]);
+        let est = SparseFmEstimator::new(
+            QuarticObjective,
+            FitConfig::new()
+                .epsilon(64.0)
+                .strategy(Strategy::FailIfUnbounded),
+        );
+        let whole = est.fit(&quartic_data, &mut StdRng::seed_from_u64(5));
+        let mut rng = StdRng::seed_from_u64(5);
+        match (whole, est.fit_sharded(&mut in_memory(&parts), &mut rng)) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "quartic cuts={cuts:?}"),
+            (Err(_), Err(_)) => {}
+            other => panic!("quartic outcome mismatch {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn fit_sharded_reports_errors_as_fit_stream_over_a_sharded_source_does() {
+    let mut r = StdRng::seed_from_u64(21_022);
+    let data = synth::linear_dataset(&mut r, 6_000, 3, 0.1);
+    let est = FmEstimator::new(LinearObjective, FitConfig::new().epsilon(0.5));
+    for bad_shard in 0..3 {
+        // A feature outside the normalized domain, mid-chunk in shard k.
+        let mut parts = cut(&data, &[1_000, 4_500]);
+        let bad = &parts[bad_shard];
+        let mut xs = bad.x().as_slice().to_vec();
+        xs[(bad.n() / 2) * bad.d()] = 2.0;
+        let x = functional_mechanism::linalg::Matrix::from_vec(bad.n(), bad.d(), xs).unwrap();
+        parts[bad_shard] = Dataset::new(x, bad.y().to_vec()).unwrap();
+
+        let mut rng = StdRng::seed_from_u64(6);
+        let sharded = est
+            .fit_sharded(&mut in_memory(&parts), &mut rng)
+            .unwrap_err();
+        let label = format!("shard-{bad_shard}");
+        assert!(
+            matches!(&sharded, FmError::Data(DataError::InShard { shard, .. }) if *shard == label),
+            "{sharded:?}"
+        );
+        let mut union = ShardedSource::new(in_memory(&parts)).unwrap();
+        let streamed = est.fit_stream(&mut union, &mut rng).unwrap_err();
+        assert_eq!(format!("{sharded:?}"), format!("{streamed:?}"));
+        let via_trait = fit_dyn_shards(&est, &parts, 6).unwrap_err();
+        assert_eq!(format!("{sharded:?}"), format!("{via_trait:?}"));
+    }
+
+    // An empty shard list is a typed data error on every entry point.
+    let mut none: [InMemorySource; 0] = [];
+    let mut rng = StdRng::seed_from_u64(6);
+    let err = est.fit_sharded(&mut none, &mut rng).unwrap_err();
+    assert!(
+        matches!(err, FmError::Data(DataError::InvalidParameter { .. })),
+        "{err:?}"
+    );
+    let err = fit_dyn_shards(&est, &[], 6).unwrap_err();
+    assert!(
+        matches!(err, FmError::Data(DataError::InvalidParameter { .. })),
+        "{err:?}"
+    );
 }
 
 #[test]
@@ -574,9 +692,9 @@ fn sparse_fit_sharded_single_shard_matches_fit() {
 #[test]
 fn trait_level_fit_sharded_matches_the_inherent_assembly_path() {
     // The DpEstimator-level assembled-fit hook: dispatching through the
-    // trait object surface (dyn shards, dyn RNG) must take the native
-    // per-shard assembly path for FM estimators and release exactly the
-    // inherent fit_sharded's coefficients.
+    // trait object surface (dyn shards, dyn RNG) must stream the union
+    // through the same accumulator as the inherent fit_sharded and
+    // release exactly its coefficients.
     let mut r = StdRng::seed_from_u64(77_001);
     let data = synth::linear_dataset(&mut r, 2_000, 3, 0.1);
     let idx: Vec<usize> = (0..data.n()).collect();
@@ -603,7 +721,7 @@ fn trait_level_fit_sharded_matches_the_inherent_assembly_path() {
         assert_eq!(inherent, via_trait, "intercept={intercept}");
     }
 
-    // Same pin for the general-degree override.
+    // Same pin for the general-degree estimator.
     let est = SparseFmEstimator::new(
         QuarticObjective,
         FitConfig::new()
@@ -626,7 +744,7 @@ fn trait_level_fit_sharded_matches_the_inherent_assembly_path() {
     }
 
     // And for the families behind FamilyEstimator: the trait call must
-    // assemble per shard, not regroup the sums over the shard union.
+    // group the sums exactly as the inherent call does.
     let logistic = synth::logistic_dataset(&mut r, 2_000, 3, 8.0);
     let counts = synth::poisson_dataset(&mut r, 2_000, 3, 8.0);
     for intercept in [false, true] {
