@@ -428,7 +428,7 @@ impl<O: Objective<C>, C: Coefficients> FmEstimator<O, C> {
     /// * Otherwise as [`FmEstimator::fit`].
     pub fn fit_sharded<S>(&self, shards: &mut [S], rng: &mut impl Rng) -> Result<O::Model>
     where
-        S: RowSource + Send,
+        S: RowSource,
     {
         self.fit_stream(
             &mut ShardedSource::new(shards.iter_mut().collect()).map_err(FmError::Data)?,
@@ -859,7 +859,7 @@ impl<F: Family> FamilyEstimator<F> {
     /// for a knob the objective refuses.
     pub fn fit_sharded<S>(&self, shards: &mut [S], rng: &mut impl Rng) -> Result<FamilyModel<F>>
     where
-        S: RowSource + Send,
+        S: RowSource,
     {
         self.estimator()?.fit_sharded(shards, rng)
     }

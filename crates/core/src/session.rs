@@ -286,7 +286,7 @@ impl PrivacySession {
     ) -> Result<O::Model>
     where
         O: RegressionObjective,
-        S: RowSource + Send,
+        S: RowSource,
         R: Rng,
     {
         self.debit(estimator)?;

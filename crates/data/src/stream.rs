@@ -55,6 +55,8 @@ use crate::dataset::{check_shape, Dataset};
 use crate::normalize::Normalizer;
 use crate::{DataError, Result};
 
+mod decimal;
+
 /// A bounded, owned block of rows: the unit a [`RowSource`] yields.
 ///
 /// `xs` is a row-major `rows × d` feature block, `ys` the matching labels.
@@ -485,6 +487,14 @@ impl LabelTransform {
 /// The value of one selected CSV field, or why it has none. A NaN or an
 /// infinity would pass the normalizer's clamp and break the row contract
 /// later, so a field that parses to one is refused like text.
+///
+/// This is the `str` path. A line of the default dialect takes it only
+/// when the one-pass parse ([`LineParser::parse_ascii`]) declines it: a
+/// field of `-?digits[.digits][(e|E)[+|-]digits]` between ASCII
+/// whitespace, with at most 19 significant digits, is read there with
+/// the bits `str::parse` gives; every other field (a `+` sign, `.5`,
+/// `5.`, `inf`, more digits, Unicode padding, text) and every field of a
+/// [`CsvStreamSource::select_columns`] line comes here.
 fn field_value(v: &str) -> std::result::Result<f64, &'static str> {
     match v.trim().parse::<f64>() {
         Ok(parsed) if parsed.is_finite() => Ok(parsed),
@@ -648,27 +658,30 @@ impl ColumnMap {
 /// Bytes the reader of a [`CsvStreamSource`] buffers. Framing takes the
 /// lines out of whole buffers, one read per buffer rather than one
 /// `read_until` per line. Draining a 73.6 MB census CSV at 4,096-row
-/// blocks on a 2-vCPU x86 host took a median 185, 171 and 172 ms with
-/// 8, 32 and 64 KiB, within noise of each other; 32 KiB keeps the reads
-/// few (about 2,300 a drain) at little memory.
+/// blocks on a 2-vCPU x86 host (median of five interleaved rounds of five
+/// drains each) took 103, 107 and 103 ms with 8, 32 and 64 KiB, within
+/// noise of each other; 32 KiB keeps the reads few (about 2,300 a drain)
+/// at little memory.
 const READ_BUF_BYTES: usize = 32 * 1024;
 
 /// Most lines one parse window holds, so the two byte windows stay
 /// bounded whatever `max_rows` a caller asks for; a larger block takes
 /// several windows. The cap is set by memory, not speed: draining a
 /// 370,000-line census CSV (d = 13, about 200 bytes a line) at
-/// 20,000-row blocks on a 2-vCPU x86 host took a median 140, 145 and
-/// 145 ms with windows of 4,096, 8,192 and 16,384 lines, and two windows
-/// of 8,192 such lines hold about 3.3 MB of text.
+/// 20,000-row blocks on a 2-vCPU x86 host took a median 119, 104 and
+/// 100 ms with windows of 4,096, 8,192 and 16,384 lines (five
+/// interleaved rounds, as above; the rounds of each spread over 30 ms),
+/// and two windows of 8,192 such lines hold about 3.3 MB of text.
 const WINDOW_LINES: usize = 8_192;
 
 /// Fewest lines a window needs for a helper thread to parse beside the
 /// calling thread while it reads ahead. A shorter window is parsed on the
 /// calling thread alone, so small blocks spawn no thread: the helper must
 /// parse long enough to repay its spawn. Draining the census CSV above in
-/// blocks of one window each (median of five drains, 2-vCPU x86 host),
-/// 256-line windows took 322 ms with a helper and 255 ms without one;
-/// 512-line windows took 181 ms with one and 328 ms without.
+/// blocks of one window each (2-vCPU x86 host, five interleaved rounds of
+/// five drains), 256-line windows took a median 221 ms with a helper and
+/// 175 ms without one; 512-line windows took 152 ms with one and 191 ms
+/// without.
 #[cfg(feature = "parallel")]
 const MIN_RANGE_LINES: usize = 512;
 
@@ -676,7 +689,8 @@ const MIN_RANGE_LINES: usize = 512;
 /// claim in turn: small enough that neither waits long for the other at
 /// the end of a window, large enough that claiming costs nothing. Pieces
 /// of 128, 256 and 512 lines drained the census CSV within noise of each
-/// other (medians 169–186 ms at 4,096-row blocks).
+/// other (medians 97, 90 and 106 ms at 4,096-row blocks, five interleaved
+/// rounds).
 const PIECE_LINES: usize = 256;
 
 /// Whether a window of `lines` is parsed beside a helper thread while the
@@ -858,6 +872,30 @@ fn is_blank(line: &[u8]) -> bool {
     }
 }
 
+/// The finite number [`decimal::parse`] decides in the field at
+/// `line[*at..]`, between optional ASCII whitespace, and moves `at` past
+/// both.
+fn ascii_number(line: &[u8], at: &mut usize) -> Option<f64> {
+    let start = skip_ascii_whitespace(line, *at);
+    let (value, len) = decimal::parse(&line[start..])?;
+    *at = skip_ascii_whitespace(line, start + len);
+    value.is_finite().then_some(value)
+}
+
+/// The position after the comma at `line[at]`, if one is there.
+fn ascii_comma(line: &[u8], at: usize) -> Option<usize> {
+    (line.get(at) == Some(&b',')).then_some(at + 1)
+}
+
+/// Where the ASCII whitespace `str::trim` would strip that starts at
+/// `line[at..]` ends.
+fn skip_ascii_whitespace(line: &[u8], mut at: usize) -> usize {
+    while matches!(line.get(at), Some(b'\t'..=b'\r' | b' ')) {
+        at += 1;
+    }
+    at
+}
+
 /// The error `BufRead::lines` gives for a line that is not UTF-8.
 fn invalid_utf8() -> DataError {
     DataError::Io(io::Error::new(
@@ -879,13 +917,19 @@ struct LineParser<'a> {
 }
 
 impl LineParser<'_> {
-    /// Parses one line into `row` and returns its label: UTF-8 decoding,
-    /// the field parse, then the normalizer.
+    /// Parses one line into `row` and returns its label: the one-pass
+    /// parse, or UTF-8 decoding and the field parse where that declines;
+    /// then the normalizer.
     fn parse(&self, bytes: &[u8], lineno: usize, row: &mut [f64]) -> Result<f64> {
-        let line = std::str::from_utf8(bytes).map_err(|_| invalid_utf8())?;
-        let y = match self.map {
-            None => parse_numeric_row(line, lineno, row)?,
-            Some(map) => map.parse_row(line, lineno, row)?,
+        let y = match self.parse_ascii(bytes, row) {
+            Some(y) => y,
+            None => {
+                let line = std::str::from_utf8(bytes).map_err(|_| invalid_utf8())?;
+                match self.map {
+                    None => parse_numeric_row(line, lineno, row)?,
+                    Some(map) => map.parse_row(line, lineno, row)?,
+                }
+            }
         };
         match self.normalizer {
             None => Ok(y),
@@ -894,6 +938,27 @@ impl LineParser<'_> {
                 Ok(label.apply(norm, y))
             }
         }
+    }
+
+    /// Parses a line of the default dialect in one pass over its bytes
+    /// into `row` and returns its label, or `None` where the line is not
+    /// made of exactly `d + 1` fields, each a finite number
+    /// [`decimal::parse`] decides between optional ASCII whitespace. A line
+    /// it parses is ASCII, hence UTF-8; on any other line `row` may hold
+    /// partial values, and the `str` path parses the line afresh, so rows
+    /// and errors are that path's either way. Lines under
+    /// [`CsvStreamSource::select_columns`] always take the `str` path.
+    fn parse_ascii(&self, line: &[u8], row: &mut [f64]) -> Option<f64> {
+        if self.map.is_some() {
+            return None;
+        }
+        let mut at = 0;
+        for slot in row.iter_mut() {
+            *slot = ascii_number(line, &mut at)?;
+            at = ascii_comma(line, at)?;
+        }
+        let label = ascii_number(line, &mut at)?;
+        (at == line.len()).then_some(label)
     }
 
     /// Parses `lines` into the rows of `xs`/`ys` and returns the failed
@@ -996,7 +1061,15 @@ fn close_up(xs: &mut [f64], ys: &mut [f64], d: usize, rows: std::ops::Range<usiz
 ///
 /// Lines are framed on the calling thread: each reader buffer is split at
 /// every `\n` by a word-at-a-time scan and its data lines are copied into
-/// a window, without their line endings. Under the `parallel`
+/// a window, without their line endings. Each line is then parsed in one
+/// pass over its bytes, splitting, trimming and converting its fields as
+/// it goes: a line of plain decimal fields (`-?digits[.digits]`, an
+/// optional exponent, at most 19 significant digits, ASCII whitespace
+/// around them) converts with an exact Eisel–Lemire parser. Any other
+/// line, and every line under [`CsvStreamSource::select_columns`], is
+/// decoded as UTF-8 and its fields go through `str::trim` and
+/// `str::parse::<f64>`, so every line yields the bits, errors and error
+/// lines of that path. Under the `parallel`
 /// feature a window long enough to repay a thread is then parsed in
 /// small pieces that the calling thread and one helper thread claim in
 /// turn, while the calling thread first frames the next window into a

@@ -289,3 +289,191 @@ fn long_blocks_resolve_failures_across_parse_ranges() {
         assert_eq!(visit(&csv, RowErrorPolicy::Strict, k), trace);
     }
 }
+
+/// What one call of `next_block(1)` yields: a row's bits (features, then
+/// the label) or the error's text.
+type Outcome = Result<Vec<u64>, String>;
+
+/// Where a raw field goes in the reference reader.
+#[derive(Clone, Copy)]
+enum Role {
+    Feature(usize),
+    Label,
+    Skip,
+}
+
+/// The reference reader: `BufRead::lines`, `str::split(',')`, `str::trim`
+/// and `str::parse::<f64>`, line by line, with the column selection of
+/// `select` (`None`: every column a feature, the label last) and up to
+/// `cap` rows quarantined. Returns what each `next_block(1)` call yields
+/// and the quarantine as `(line, reason)`.
+fn reference(
+    csv: &[u8],
+    select: Option<(&[&str], &str)>,
+    cap: Option<usize>,
+) -> (Vec<Outcome>, Vec<(usize, String)>) {
+    use std::io::BufRead;
+    let mut lines = csv.lines();
+    let header = lines.next().unwrap().unwrap();
+    let header: Vec<&str> = header.split(',').collect();
+    let roles: Vec<Role> = match select {
+        None => (0..header.len() - 1)
+            .map(Role::Feature)
+            .chain([Role::Label])
+            .collect(),
+        Some((features, label)) => header
+            .iter()
+            .map(|name| match features.iter().position(|f| f == name) {
+                Some(slot) => Role::Feature(slot),
+                None if *name == label => Role::Label,
+                None => Role::Skip,
+            })
+            .collect(),
+    };
+    let d = roles
+        .iter()
+        .filter(|r| matches!(r, Role::Feature(_)))
+        .count();
+    let parse = |line: &str| -> Result<Vec<u64>, String> {
+        let fields: Vec<&str> = line.split(',').collect();
+        let mut row = vec![0.0; d + 1];
+        for (k, v) in fields.iter().enumerate() {
+            let expected = || format!("expected {} fields, found {}", roles.len(), fields.len());
+            let slot = match roles.get(k).ok_or_else(expected)? {
+                Role::Feature(slot) => *slot,
+                Role::Label => d,
+                Role::Skip => continue,
+            };
+            let reason = match v.trim().parse::<f64>() {
+                Ok(value) if value.is_finite() => {
+                    row[slot] = value;
+                    continue;
+                }
+                Ok(_) => "is not a finite number",
+                Err(_) => "is not a number",
+            };
+            return Err(match select {
+                None => format!("`{v}` {reason}"),
+                Some(_) => format!("field {}: `{v}` {reason}", k + 1),
+            });
+        }
+        if fields.len() != roles.len() {
+            return Err(format!(
+                "expected {} fields, found {}",
+                roles.len(),
+                fields.len()
+            ));
+        }
+        Ok(row.iter().map(|v| v.to_bits()).collect())
+    };
+    let (mut outcomes, mut quarantine) = (Vec::new(), Vec::new());
+    let mut lineno = 1;
+    for line in lines {
+        let line = match line {
+            Ok(line) => line,
+            Err(e) => {
+                outcomes.push(Err(format!("I/O error: {e}")));
+                continue;
+            }
+        };
+        lineno += 1;
+        if line.trim().is_empty() {
+            continue;
+        }
+        match parse(&line) {
+            Ok(row) => outcomes.push(Ok(row)),
+            Err(detail) => {
+                let text = format!("CSV parse error at line {lineno}: {detail}");
+                match cap {
+                    Some(cap) if quarantine.len() < cap => quarantine.push((lineno, text)),
+                    _ => outcomes.push(Err(text)),
+                }
+            }
+        }
+    }
+    (outcomes, quarantine)
+}
+
+/// Drains `csv` with `next_block(1)`, going on after each error, under
+/// Strict and under `SkipUpTo(16)`, and checks every call and the
+/// quarantine against [`reference`].
+fn check_edges(csv: &[u8], select: Option<(&[&str], &str)>) {
+    for cap in [None, Some(16)] {
+        let policy = cap.map_or(RowErrorPolicy::Strict, RowErrorPolicy::SkipUpTo);
+        let mut src = open(csv, policy);
+        if let Some((features, label)) = select {
+            src = src.select_columns(features, label).unwrap();
+        }
+        let mut outcomes = Vec::new();
+        for _ in 0..1_000 {
+            match src.next_block(1) {
+                Ok(Some(b)) => {
+                    let row = b.xs().iter().chain(b.ys()).map(|v| v.to_bits());
+                    outcomes.push(Ok(row.collect()));
+                }
+                Ok(None) => break,
+                Err(e) => outcomes.push(Err(e.to_string())),
+            }
+        }
+        let quarantine: Vec<(usize, String)> = src
+            .quarantine()
+            .iter()
+            .map(|q| (q.line, q.reason.clone()))
+            .collect();
+        let (want, want_quarantine) = reference(csv, select, cap);
+        assert_eq!(outcomes, want, "{policy:?}");
+        assert_eq!(quarantine, want_quarantine, "{policy:?}");
+    }
+}
+
+#[test]
+fn number_forms_outside_the_one_pass_parse_read_as_str_parse_reads_them() {
+    let csv = "a,b,label\n+1,.5,1.\n-0,1e5,1E-5\n0.1,-0.0,1e+2\n1,2,3\n";
+    check_edges(csv.as_bytes(), None);
+}
+
+#[test]
+fn padded_fields_are_trimmed_as_str_trim_trims_them() {
+    let csv = "a,b,label\n 1 ,\t2\t, 3 \n\u{2003}1,2\u{2003},\u{a0}3\u{3000}\n\u{b}1\u{c},2\r,3\n1, 2 x,3\n";
+    check_edges(csv.as_bytes(), None);
+}
+
+#[test]
+fn non_finite_fields_fail_with_their_reason() {
+    let csv = "a,b,label\nNaN,1,2\n1,inf,2\n1,2,1e400\n1,2,-1e400\n1,2,1e-400\n4,5,6\n";
+    check_edges(csv.as_bytes(), None);
+}
+
+#[test]
+fn long_mantissas_read_as_str_parse_reads_them() {
+    let csv = "a,b,label\n\
+        1.2345678901234567890,0.12345678901234567890123,-98765432109876543210987.5\n\
+        12345678901234567890,1234567890123456789012345,0.000000000000000000001234567890123456789\n\
+        9007199254740993.0000,100000000000000000000,0.30000000000000004441\n";
+    check_edges(csv.as_bytes(), None);
+}
+
+#[test]
+fn a_bad_field_before_invalid_utf8_still_fails_on_the_utf8() {
+    check_edges(b"a,b,label\n1,2,3\nbad,\xff,3\n1,x\xff,3\n4,5,6\n", None);
+}
+
+#[test]
+fn selected_columns_skip_non_ascii_text() {
+    let csv = "a,name,b,label\n1,Zoë,2,3\n4,東京,5,6\n7,plain,8,9\n1,Zoë,x,3\n1,Zoë,2\n";
+    check_edges(csv.as_bytes(), Some((&["b", "a"], "label")));
+    let csv = b"a,name,b,label\n1,Zo\xc3\xab,2,3\n4,\xff,5,6\n7,ok,8,9\n";
+    check_edges(csv, Some((&["b", "a"], "label")));
+}
+
+#[test]
+fn exponents_past_65536_are_clipped_as_str_parse_clips_them() {
+    // `str::parse` stops adding exponent digits once the exponent reaches
+    // 65,536: after 99,999 zeros past the point, `1e1000004` reads 1.
+    let zeros = "0".repeat(99_999);
+    let csv = format!(
+        "a,b,label\n0.{zeros}1e1000004,0.{zeros}1e100004,1\n\
+         -0.{zeros}1e-1000004,0.{zeros}1e65536,2\n1e65536,1e-65537,3\n"
+    );
+    check_edges(csv.as_bytes(), None);
+}

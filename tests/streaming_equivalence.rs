@@ -529,6 +529,54 @@ fn fit_dyn_shards<E: DpEstimator + ?Sized>(
     })
 }
 
+/// Yields a row range of a dataset shared through an `Rc`, so it is not
+/// `Send`.
+struct RcShard {
+    data: std::rc::Rc<Dataset>,
+    rows: std::ops::Range<usize>,
+}
+
+impl RowSource for RcShard {
+    fn dim(&self) -> usize {
+        self.data.d()
+    }
+
+    fn next_block(
+        &mut self,
+        max_rows: usize,
+    ) -> functional_mechanism::data::Result<Option<RowBlock>> {
+        if self.rows.is_empty() {
+            return Ok(None);
+        }
+        let d = self.data.d();
+        let lo = self.rows.start;
+        let hi = self.rows.end.min(lo + max_rows.max(1));
+        self.rows.start = hi;
+        let xs = self.data.x().as_slice()[lo * d..hi * d].to_vec();
+        let ys = self.data.y()[lo..hi].to_vec();
+        Ok(Some(RowBlock::new(xs, ys, d).expect("consistent shapes")))
+    }
+}
+
+#[test]
+fn fit_sharded_takes_shards_that_are_not_send() {
+    // The shards are drained on the calling thread, so `fit_sharded`
+    // asks for no `Send`.
+    let mut r = StdRng::seed_from_u64(22_022);
+    let data = std::rc::Rc::new(synth::linear_dataset(&mut r, 9_000, 3, 0.1));
+    let est = FmEstimator::new(LinearObjective, FitConfig::new().epsilon(0.5));
+    let whole = est.fit(&data, &mut StdRng::seed_from_u64(5)).unwrap();
+    let mut shards: Vec<RcShard> = [0..2_500, 2_500..7_000, 7_000..9_000]
+        .into_iter()
+        .map(|rows| RcShard {
+            data: std::rc::Rc::clone(&data),
+            rows,
+        })
+        .collect();
+    let union = est.fit_sharded(&mut shards, &mut StdRng::seed_from_u64(5));
+    assert_eq!(whole, union.unwrap());
+}
+
 #[test]
 fn fit_sharded_releases_the_bits_of_fit_on_the_concatenation() {
     // Algorithm 1 reads the data through one sum, so every union entry
